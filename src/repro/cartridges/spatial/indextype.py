@@ -205,15 +205,28 @@ class SpatialIndexMethods(IndexMethods):
 
     def _primary_filter(self, ia: ODCIIndexInfo, env: ODCIEnv,
                         query_geometry: ObjectValue) -> List[Any]:
+        """Candidate rowids: index tiles overlapping a query tile.
+
+        One B-tree probe per distinct group code: each probed tile row
+        is tested against every query tile of its group (the range test
+        ``code <= q.maxcode AND maxcode >= q.code``), instead of one
+        callback statement per query tile re-reading the whole group.
+        """
         tiles = _tiles_table(ia)
-        seen: Dict[Any, None] = {}
+        ranges: Dict[Any, List[Any]] = {}
         for tile in tessellate(query_geometry):
+            ranges.setdefault(tile.grpcode, []).append(
+                (tile.code, tile.maxcode))
+        seen: Dict[Any, None] = {}
+        for grpcode, group in ranges.items():
             rows = env.callback.query(
-                f"SELECT rid FROM {tiles} WHERE grpcode = :1 "
-                "AND code <= :2 AND maxcode >= :3",
-                [tile.grpcode, tile.maxcode, tile.code])
-            for (rid,) in rows:
-                seen[rid] = None
+                f"SELECT rid, code, maxcode FROM {tiles} "
+                "WHERE grpcode = :1", [grpcode])
+            for rid, code, maxcode in rows:
+                for low, high in group:
+                    if code <= high and maxcode >= low:
+                        seen[rid] = None
+                        break
         return sorted(seen)
 
     def index_fetch(self, context: Any, nrows: int,

@@ -430,15 +430,42 @@ def _vector_codegen_cls() -> type:
     return _VECTOR_CODEGEN_CLS
 
 
+#: generated source -> code object; plans are re-built for every DML
+#: statement (DML is never plan-cached), and the same statement shape
+#: yields the same source, so byte-compiling it once is enough
+_CODE_CACHE: Dict[str, Any] = {}
+_CODE_CACHE_LIMIT = 512
+
+
 def _exec_factory(gen: Any, lines: List[str], filename: str) -> Callable:
+    """The generated factory, byte-compiled on its first call.
+
+    Code generation — which decides eligibility, and so the EXPLAIN
+    marker — runs at plan time; ``compile``/``exec`` wait until an
+    execution asks for the kernel.  Plans whose vector artifacts are
+    never run (DML target selection strips the projection) pay nothing
+    for them.
+    """
     from repro.sql.parallel import _emit_bind_guards, _kernel_namespace
     src = [lines[0]]
     src.extend(_emit_bind_guards(gen))
     src.extend(lines[1:])
+    source = "\n".join(src)
     namespace = _kernel_namespace(gen)
-    exec(compile("\n".join(src), filename, "exec"),  # noqa: S102
-         namespace)
-    return namespace["_factory"]
+    built: List[Callable] = []
+
+    def factory(binds):
+        if not built:
+            code = _CODE_CACHE.get(source)
+            if code is None:
+                if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
+                    _CODE_CACHE.clear()
+                code = _CODE_CACHE[source] = compile(source, filename,
+                                                     "exec")
+            exec(code, namespace)  # noqa: S102
+            built.append(namespace["_factory"])
+        return built[0](binds)
+    return factory
 
 
 def compile_vector_kernel(predicate: Optional[ast.Expr], binding: str,
@@ -482,6 +509,9 @@ def compile_vector_projection(exprs: List[ast.Expr], binding: str,
     """
     if not exprs:
         return None
+    gather = _column_gather(exprs, binding, table)
+    if gather is not None:
+        return gather
     gen = _vector_codegen_cls()(binding, table)
     parts: List[str] = []
     try:
@@ -510,6 +540,39 @@ def compile_vector_projection(exprs: List[ast.Expr], binding: str,
     lines.append(f"        return [{tuple_src} for i in sel]")
     lines.append("    return _project")
     return _exec_factory(gen, lines, "<vector-project>")
+
+
+def _column_gather(exprs: List[ast.Expr], binding: str,
+                   table: Any) -> Optional[Callable]:
+    """Projection factory for items that are all bare stored columns of
+    the scanned table, or None.
+
+    No code is generated: the output tuples are a C-level ``zip`` of the
+    picked column vectors (of the selected positions only when the
+    filter dropped rows).  Values pass through untouched, exactly like
+    the generated projection's raw column passthrough.  This is the
+    shape of cartridge callback SQL (``SELECT rid, freq FROM ...``) and
+    of DML target selection (``SELECT *``), which plans every statement
+    afresh.
+    """
+    positions = {col.name.lower(): i for i, col in enumerate(table.columns)}
+    picks: List[int] = []
+    for expr in exprs:
+        if not isinstance(expr, ast.ColumnRef) or not expr.bound \
+                or expr.attr_path or expr.alias != binding:
+            return None
+        index = positions.get(expr.column)
+        if index is None:
+            return None  # pseudo-column
+        picks.append(index)
+
+    def project(cols, rowids, sel):
+        vectors = [cols[p] for p in picks]
+        if len(sel) == len(rowids):  # every row selected
+            return list(zip(*vectors))
+        return list(zip(*[[vector[i] for i in sel] for vector in vectors]))
+
+    return lambda binds: project
 
 
 # ---------------------------------------------------------------------------

@@ -54,11 +54,17 @@ from repro.sql.catalog import TableDef
 from repro.sql.columnar import ColumnBatch, ExecutorStats
 from repro.sql.expressions import (
     AggregateCall, Evaluator, RowContext, aggregate_key)
+from repro.storage.iot import COLUMNAR_BATCH
 from repro.types.values import NULL, is_null, sql_compare
 
 #: cap on the per-executor constant-expression memo (safety valve for
 #: the session's long-lived bindless executor)
 _CONST_CACHE_LIMIT = 1024
+
+#: scans that can feed the columnar pipeline: heap full scans, IOT
+#: key-prefix probes and B-tree range probes (the planner stamps the
+#: eligible ones ``[VECTORIZED]``)
+_VECTOR_SCANS = (pl.FullScan, pl.IOTPrefixScan, pl.BTreeScan)
 
 
 def _chunked(rows: Iterable[RowContext], size: int
@@ -78,6 +84,14 @@ def _chunked(rows: Iterable[RowContext], size: int
 def _flatten(batches: Iterable[List[RowContext]]) -> Iterator[RowContext]:
     for batch in batches:
         yield from batch
+
+
+def _comparable(a: Any, b: Any) -> bool:
+    """True when Python orders ``a`` and ``b`` like SQL does: both
+    numbers (bool excluded) or both strings."""
+    numbers = (int, float)
+    return (type(a) in numbers and type(b) in numbers) \
+        or (type(a) is str and type(b) is str)
 
 
 class Executor:
@@ -187,7 +201,7 @@ class Executor:
         if not isinstance(node, pl.ProjectNode):
             raise ExecutionError(f"expected projection at plan top, got "
                                  f"{node.label()}")
-        if isinstance(node.child, pl.FullScan):
+        if isinstance(node.child, _VECTOR_SCANS):
             fused = self._vector_project_scan(node, node.child)
             if fused is not None:
                 yield from fused
@@ -247,13 +261,14 @@ class Executor:
         if isinstance(node, (pl.FullScan, pl.DomainScan, pl.FilterNode)):
             return _flatten(self.iter_batches(node))
         if isinstance(node, pl.BTreeScan):
-            return self._iter_btree_scan(node)
+            return self._vector_rows(node) or self._iter_btree_scan(node)
         if isinstance(node, pl.HashScan):
             return self._iter_hash_scan(node)
         if isinstance(node, pl.BitmapScan):
             return self._iter_bitmap_scan(node)
         if isinstance(node, pl.IOTPrefixScan):
-            return self._iter_iot_prefix_scan(node)
+            return self._vector_rows(node) \
+                or self._iter_iot_prefix_scan(node)
         if isinstance(node, pl.NestedLoopJoin):
             return self._iter_nl_join(node)
         if isinstance(node, pl.IndexedNLJoin):
@@ -320,13 +335,7 @@ class Executor:
         if node.filter is not None:
             cbatches = self._vector_scan(node, require_kernel=True)
             if cbatches is not None:
-                make = self._ctx_factory(node.table, node.binding_name)
-                self.xstats.record_materialize_boundary()
-                for cbatch in cbatches:
-                    batch = [make(rowid, row)
-                             for rowid, row in cbatch.iter_rows()]
-                    if batch:
-                        yield batch
+                yield from self._materialize(node, cbatches)
                 return
         dop = self._effective_dop(node)
         if dop >= 2:
@@ -360,22 +369,47 @@ class Executor:
 
     # -- vectorized columnar scan ----------------------------------------------
 
-    def _vector_scan(self, node: pl.FullScan, require_kernel: bool = False
-                     ) -> Optional[Iterator[ColumnBatch]]:
-        """Columnar batches for a full scan, or None for the row path.
+    def _materialize(self, node: pl.PlanNode,
+                     cbatches: Iterator[ColumnBatch]
+                     ) -> Iterator[List[RowContext]]:
+        """Cross the columnar → row boundary for selected rows only."""
+        make = self._ctx_factory(node.table, node.binding_name)
+        self.xstats.record_materialize_boundary()
+        for cbatch in cbatches:
+            batch = [make(rowid, row) for rowid, row in cbatch.iter_rows()]
+            if batch:
+                yield batch
 
-        Eligibility is plan-time (``vector_mode == "VECTORIZED"``, which
-        implies the filter — if any — compiled to a vector kernel) plus
-        the session gate and the kernel factory's per-execution bind
-        inspection: a declined factory sends the whole statement back to
-        the row pipeline, mirroring the PR 9 row-kernel contract.  With
+    def _vector_rows(self, node: pl.PlanNode
+                     ) -> Optional[Iterator[RowContext]]:
+        """Row contexts for a filtered index probe whose filter runs as
+        a vector kernel, or None for the closure row path."""
+        if node.filter is None:
+            return None
+        cbatches = self._vector_scan(node, require_kernel=True)
+        if cbatches is None:
+            return None
+        return _flatten(self._materialize(node, cbatches))
+
+    def _vector_scan(self, node: pl.PlanNode, require_kernel: bool = False
+                     ) -> Optional[Iterator[ColumnBatch]]:
+        """Columnar batches for a scan, or None for the row path.
+
+        Heap full scans transpose pages; IOT prefix probes and B-tree
+        range probes (the access paths of cartridge callback SQL) build
+        batches from the probe.  Eligibility is plan-time
+        (``vector_mode == "VECTORIZED"``, which implies the filter — if
+        any — compiled to a vector kernel) plus the session gate and the
+        kernel factory's per-execution bind inspection: a declined
+        factory sends the whole statement back to the row pipeline,
+        mirroring the row-kernel contract.  With
         ``require_kernel`` a filterless scan declines too — transposing
-        pages for a row consumer with no filter to vectorize is pure
+        batches for a row consumer with no filter to vectorize is pure
         overhead.
         """
-        if not self.use_vectorized:
+        if not self.use_vectorized or node.vector_mode != "VECTORIZED":
             return None
-        if node.vector_mode != "VECTORIZED" or not node.has_scan_columns:
+        if isinstance(node, pl.FullScan) and not node.has_scan_columns:
             return None
         kernel = None
         if node.filter is not None:
@@ -390,18 +424,68 @@ class Executor:
                 return None
         elif require_kernel:
             return None
+        if isinstance(node, pl.IOTPrefixScan):
+            return self._filter_cbatches(node, kernel,
+                                         self._iot_prefix_columns(node))
+        if isinstance(node, pl.BTreeScan):
+            return self._filter_cbatches(node, kernel,
+                                         self._btree_columns(node))
         dop = self._effective_dop(node)
         if dop >= 2:
             return self._cbatches_parallel(node, kernel, dop)
-        return self._cbatches_serial(node, kernel)
-
-    def _cbatches_serial(self, node: pl.FullScan, kernel: Optional[Callable]
-                         ) -> Iterator[ColumnBatch]:
-        storage = node.table.storage
         snapshot = self.snapshot if node.versioned else None
-        width = len(node.table.columns)
+        return self._filter_cbatches(
+            node, kernel, node.table.storage.scan_batches_columnar(
+                len(node.table.columns), snapshot))
+
+    def _iot_prefix_columns(self, node: pl.IOTPrefixScan
+                            ) -> Iterator[Tuple[List[Any], List[List[Any]]]]:
+        """``(rowids, columns)`` batches of an IOT key-prefix probe."""
+        key = self._const(node.key)
+        if is_null(key):
+            return
+        storage = node.table.storage
+        snapshot = self.snapshot \
+            if getattr(storage, "versions", None) is not None else None
+        yield from storage.key_prefix_scan([key], snapshot, columnar=True)
+
+    def _btree_columns(self, node: pl.BTreeScan
+                       ) -> Iterator[Tuple[List[Any], List[List[Any]]]]:
+        """``(rowids, columns)`` batches of a B-tree range probe: the
+        probed rowids are fetched (against the snapshot) straight into
+        column batches, skipping dead rowids like the row path."""
+        bounds = self._btree_bounds(node)
+        if bounds is None:
+            return
+        low, high = bounds
+        structure = node.index.structure
+        fetch = self._fetch_fn(node.table.storage)
+        rowids: List[Any] = []
+        rows: List[List[Any]] = []
+        for __, rowid in self._probe(
+                structure,
+                lambda: structure.range_scan(low, high,
+                                             node.low_inclusive,
+                                             node.high_inclusive)):
+            row = fetch(rowid)
+            if row is None:
+                continue
+            rowids.append(rowid)
+            rows.append(row)
+            if len(rows) >= COLUMNAR_BATCH:
+                yield rowids, [list(col) for col in zip(*rows)]
+                rowids, rows = [], []
+        if rows:
+            yield rowids, [list(col) for col in zip(*rows)]
+
+    def _filter_cbatches(self, node: pl.PlanNode,
+                         kernel: Optional[Callable],
+                         batches: Iterable[Tuple[List[Any], List[List[Any]]]]
+                         ) -> Iterator[ColumnBatch]:
+        """Wrap ``(rowids, columns)`` batches and run the filter kernel
+        over each; empty survivors are dropped."""
         xstats = self.xstats
-        for rowids, columns in storage.scan_batches_columnar(width, snapshot):
+        for rowids, columns in batches:
             cbatch = ColumnBatch(rowids, columns)
             if kernel is not None:
                 try:
@@ -418,7 +502,7 @@ class Executor:
             if cbatch.selected_count():
                 yield cbatch
 
-    def _closure_sel(self, node: pl.FullScan,
+    def _closure_sel(self, node: pl.PlanNode,
                      cbatch: ColumnBatch) -> List[int]:
         """Selection vector for one batch via the closure/interpreter
         path — the serial-exact fallback tier."""
@@ -499,7 +583,7 @@ class Executor:
                 exchange.close()
                 return
 
-    def _vector_project_scan(self, node: pl.ProjectNode, scan: pl.FullScan
+    def _vector_project_scan(self, node: pl.ProjectNode, scan: pl.PlanNode
                              ) -> Optional[Iterator[Tuple[Any, ...]]]:
         """Fused filter→project over columnar batches, or None.
 
@@ -521,7 +605,7 @@ class Executor:
             return None
         return self._project_cbatches(node, scan, project, cbatches)
 
-    def _project_cbatches(self, node: pl.ProjectNode, scan: pl.FullScan,
+    def _project_cbatches(self, node: pl.ProjectNode, scan: pl.PlanNode,
                           project: Callable,
                           cbatches: Iterator[ColumnBatch]
                           ) -> Iterator[Tuple[Any, ...]]:
@@ -764,9 +848,30 @@ class Executor:
             if passes is None or passes(ctx):
                 yield ctx
 
-    def _iter_btree_scan(self, node: pl.BTreeScan) -> Iterator[RowContext]:
+    def _btree_bounds(self, node: pl.BTreeScan
+                      ) -> Optional[Tuple[Any, Any]]:
+        """The probe's (low, high) bound values, or None when a bound is
+        NULL — a comparison with NULL is never true, so no row can
+        qualify.  A bound borrowed from the residual filter is dropped
+        when it is not comparable with the other one (the filter still
+        applies it, with SQL comparison semantics)."""
         low = self._const(node.low)
         high = self._const(node.high)
+        if (node.low is not None and is_null(low)) \
+                or (node.high is not None and is_null(high)):
+            return None
+        if node.borrowed is not None and not _comparable(low, high):
+            if node.borrowed == "high":
+                high = None
+            else:
+                low = None
+        return low, high
+
+    def _iter_btree_scan(self, node: pl.BTreeScan) -> Iterator[RowContext]:
+        bounds = self._btree_bounds(node)
+        if bounds is None:
+            return
+        low, high = bounds
         structure = node.index.structure
         make = self._ctx_factory(node.table, node.binding_name)
         passes = self._truth_fn(node, "filter", node.filter)
@@ -1173,7 +1278,7 @@ class Executor:
         if not self.use_vectorized or node.vector_mode != "VECTORIZED":
             return None
         child = node.child
-        if not isinstance(child, pl.FullScan):
+        if not isinstance(child, _VECTOR_SCANS):
             return None
         factory = node.compiled.get("vector_keys")
         if factory is None:
@@ -1269,7 +1374,7 @@ class Executor:
         if not self.use_vectorized or node.vector_mode != "VECTORIZED":
             return None
         child = node.child
-        if not isinstance(child, pl.FullScan):
+        if not isinstance(child, _VECTOR_SCANS):
             return None
         slots = node.compiled.get("vector_group")
         if slots is None:
@@ -1279,7 +1384,7 @@ class Executor:
             return None
         return self._group_cbatches(node, child, slots, cbatches)
 
-    def _group_cbatches(self, node: pl.GroupByNode, scan: pl.FullScan,
+    def _group_cbatches(self, node: pl.GroupByNode, scan: pl.PlanNode,
                         slots: Tuple, cbatches: Iterator[ColumnBatch]
                         ) -> Iterator[RowContext]:
         group_indices, agg_indices = slots

@@ -124,6 +124,11 @@ class WorkerPool:
                 task()
             except BaseException:  # noqa: BLE001 — tasks report their own
                 pass               # errors; a worker must never die
+            # drop the finished task before waiting again: a morsel task
+            # closes over its scan's MVCC snapshot, and an idle worker
+            # still holding it would pin the low-water mark (no version
+            # chain could be pruned until the worker ran another task)
+            task = None
 
 
 class ParallelStats:

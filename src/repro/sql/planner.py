@@ -144,6 +144,11 @@ class BTreeScan(PlanNode):
     low_inclusive: bool = True
     high_inclusive: bool = True
     filter: Optional[ast.Expr] = None
+    #: "low"/"high" when that bound was borrowed from a range conjunct
+    #: on the same column that stays in ``filter`` (it only narrows the
+    #: probe; the executor drops it when it cannot compare with the
+    #: other bound)
+    borrowed: Optional[str] = None
 
     def label(self) -> str:
         return (f"INDEX RANGE SCAN {self.index.name} -> "
@@ -773,15 +778,19 @@ class Planner:
         from repro.sql.compile import (compile_vector_kernel,
                                        compile_vector_projection)
 
-        def scan_of(node: PlanNode) -> Optional[FullScan]:
-            """The node's child when it is a columnar-capable full scan."""
-            child = getattr(node, "child", None)
-            if isinstance(child, FullScan) and child.has_scan_columns \
-                    and child.versioned:
-                return child
-            return None
+        def columnar(node: PlanNode) -> bool:
+            """True for scans that can produce columnar batches: heap
+            full scans, IOT prefix probes and B-tree range probes."""
+            if isinstance(node, FullScan):
+                return node.has_scan_columns and node.versioned
+            return isinstance(node, (IOTPrefixScan, BTreeScan))
 
-        def annotate_scan(scan: FullScan) -> bool:
+        def scan_of(node: PlanNode) -> Optional[PlanNode]:
+            """The node's child when it is a columnar-capable scan."""
+            child = getattr(node, "child", None)
+            return child if columnar(child) else None
+
+        def annotate_scan(scan: PlanNode) -> bool:
             """Compile the scan's filter into a vector kernel (once)."""
             if scan.vector_mode is not None:
                 return scan.vector_mode == "VECTORIZED"
@@ -832,8 +841,9 @@ class Planner:
                         node.vector_mode = "VECTORIZED"
                     else:
                         node.vector_mode = "ROW"
-            elif isinstance(node, FullScan) and node.vector_mode is None:
-                if node.filter is not None:
+            elif isinstance(node, (FullScan, IOTPrefixScan, BTreeScan)) \
+                    and node.vector_mode is None:
+                if node.filter is not None and columnar(node):
                     # consumed as rows: the vector filter still pays for
                     # itself (survivors-only materialization boundary)
                     annotate_scan(node)
@@ -848,7 +858,7 @@ class Planner:
 
     @staticmethod
     def _vector_group_slots(node: GroupByNode,
-                            scan: FullScan) -> Optional[Tuple]:
+                            scan: PlanNode) -> Optional[Tuple]:
         """Column indices for a grouped column fold, or None to decline.
 
         Vectorized GROUP BY requires every group key and aggregate
@@ -1209,9 +1219,11 @@ class Planner:
                 elif sarg.op in (">", ">="):
                     node.low = sarg.value_expr
                     node.low_inclusive = sarg.op == ">="
+                    self._borrow_bound(node, sarg, rest, ("<", "<="))
                 elif sarg.op in ("<", "<="):
                     node.high = sarg.value_expr
                     node.high_inclusive = sarg.op == "<="
+                    self._borrow_bound(node, sarg, rest, (">", ">="))
                 else:
                     continue  # != is not an index range
                 node.est_rows = max(1.0, rows * sel)
@@ -1235,6 +1247,30 @@ class Planner:
                                  * (FETCH_COST + self._filter_cost(residual)))
                 paths.append(node)
         return paths
+
+    @staticmethod
+    def _borrow_bound(node: BTreeScan, sarg: Sarg, rest: List[ast.Expr],
+                      ops: Tuple[str, str]) -> None:
+        """Close a half-open range probe with an opposite-direction
+        range conjunct on the same column (``c >= :lo AND c <= :hi``).
+        The conjunct stays in the residual filter, so the bound only
+        narrows which index entries the probe visits."""
+        column = sarg.column_ref
+        for conjunct in rest:
+            other = extract_sarg(conjunct)
+            if other is None or other.op not in ops \
+                    or other.column_ref.alias != column.alias \
+                    or other.column_ref.column != column.column:
+                continue
+            if other.op in ("<", "<="):
+                node.high = other.value_expr
+                node.high_inclusive = other.op == "<="
+                node.borrowed = "high"
+            else:
+                node.low = other.value_expr
+                node.low_inclusive = other.op == ">="
+                node.borrowed = "low"
+            return
 
     # -- domain index path ---------------------------------------------------
 

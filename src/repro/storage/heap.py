@@ -26,7 +26,7 @@ class RowId:
     dataclass ``object.__setattr__`` detour).
     """
 
-    __slots__ = ("segment_id", "page_no", "slot", "sort_key")
+    __slots__ = ("segment_id", "page_no", "slot", "sort_key", "_hash")
 
     def __init__(self, segment_id: int, page_no: int, slot: int):
         self.segment_id = segment_id
@@ -34,10 +34,24 @@ class RowId:
         self.slot = slot
         #: plain-int tuple mirror of the address; sort paths decorate
         #: with it so comparisons stay C-level tuple compares
-        self.sort_key = (segment_id, page_no, slot)
+        self.sort_key = key = (segment_id, page_no, slot)
+        # rowids key every version store, seen-set and postings dict,
+        # so the tuple hash is computed once, not per lookup
+        self._hash = hash(key)
 
     def __hash__(self) -> int:
-        return hash(self.sort_key)
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through the constructor so the cached hash is derived,
+        # never carried in WAL records or wire frames
+        return RowId, self.sort_key
+
+    def __setstate__(self, state):
+        # rowids pickled before the hash was cached (older WAL records
+        # and durable dumps) carry their slots as state
+        slots = state[1]
+        self.__init__(slots["segment_id"], slots["page_no"], slots["slot"])
 
     def __eq__(self, other: Any) -> Any:
         if other.__class__ is RowId:

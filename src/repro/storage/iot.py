@@ -24,6 +24,21 @@ from repro.index.btree import BTree
 from repro.txn.mvcc import Snapshot, VersionStore
 
 
+#: rows per ``(rowids, columns)`` batch of a columnar IOT scan
+COLUMNAR_BATCH = 256
+
+
+def _column_batches(rids: List[RowId], keys: List[Any],
+                    payloads: List[Any]
+                    ) -> Iterator[Tuple[List[RowId], List[List[Any]]]]:
+    """Transpose parallel key/payload lists into column batches."""
+    for start in range(0, len(rids), COLUMNAR_BATCH):
+        stop = start + COLUMNAR_BATCH
+        columns = [list(col) for col in zip(*keys[start:stop])]
+        columns.extend(list(col) for col in zip(*payloads[start:stop]))
+        yield rids[start:stop], columns
+
+
 class IndexOrganizedTable:
     """A table stored as a B+-tree on its first ``key_width`` columns.
 
@@ -57,8 +72,9 @@ class IndexOrganizedTable:
         self._key_of_surrogate: dict = {}
         self._surrogate_of_key: dict = {}
         self._next_surrogate = 0
-        #: MVCC version chains keyed by surrogate rowid
-        self.versions = VersionStore()
+        #: MVCC version chains keyed by surrogate rowid; change tracking
+        #: lets snapshot scans take the settled path (see _snapshot_scan)
+        self.versions = VersionStore(track_changes=True)
         #: guards tree + surrogate maps against snapshot readers; DML is
         #: already single-writer per table (X lock), but snapshot scans
         #: materialize concurrently with writers.  Reentrant: the scan
@@ -240,32 +256,42 @@ class IndexOrganizedTable:
             yield self._surrogate(key), list(key) + list(payload)
 
     def key_prefix_scan(self, prefix: List[Any],
-                        snapshot: Optional[Snapshot] = None
-                        ) -> Iterator[Tuple[RowId, List[Any]]]:
+                        snapshot: Optional[Snapshot] = None,
+                        columnar: bool = False) -> Iterator[Any]:
         """Scan rows whose key starts with ``prefix`` (in key order).
 
         This is the IOT's native access path for queries like
         ``WHERE token = :1`` on a ``(token, rid)``-keyed table — a
         B-tree descent plus a bounded leaf walk, not a full scan.
+        Yields ``(rowid, row)`` pairs, or with ``columnar`` batches of
+        up to :data:`COLUMNAR_BATCH` rows as ``(rowids, columns)``
+        (``columns[c][i]`` is column ``c`` of row ``i``) — the shape
+        the vectorized executor wraps in a ``ColumnBatch``.
         """
         prefix_tuple = tuple(prefix)
         width = len(prefix_tuple)
-        if snapshot is not None:
-            def in_prefix(key):
-                return tuple(key[:width]) == prefix_tuple
 
-            def current():
-                for key, payload in self._tree.range_scan(low=prefix_tuple):
-                    if not in_prefix(key):
-                        break
-                    yield key, payload
+        def current():
+            for key, payload in self._tree.range_scan(low=prefix_tuple):
+                if key[:width] != prefix_tuple:
+                    break
+                yield key, payload
 
-            yield from self._snapshot_scan(snapshot, in_prefix, current)
+        if snapshot is None and not columnar:
+            for key, payload in current():
+                yield self._surrogate(key), list(key) + list(payload)
             return
-        for key, payload in self._tree.range_scan(low=prefix_tuple):
-            if tuple(key[:width]) != prefix_tuple:
-                break
-            yield self._surrogate(key), list(key) + list(payload)
+        if snapshot is None:
+            with self._latch:
+                rids, keys, payloads = self._walk(current())
+            yield from _column_batches(rids, keys, payloads)
+            return
+
+        def in_prefix(key):
+            return key[:width] == prefix_tuple
+
+        yield from self._snapshot_scan(snapshot, in_prefix, current,
+                                       columnar)
 
     def _range_test(self, low, high, low_inclusive, high_inclusive):
         def in_range(key):
@@ -278,41 +304,80 @@ class IndexOrganizedTable:
             return True
         return in_range
 
+    def _walk(self, entries) -> Tuple[List[RowId], List[Any], List[Any]]:
+        """Materialize tree entries as parallel (rowid, key, payload)
+        lists; the caller holds the structure latch."""
+        surrogate_of = self._surrogate_of_key.get
+        rids: List[RowId] = []
+        keys: List[Any] = []
+        payloads: List[Any] = []
+        for key, payload in entries:
+            rid = surrogate_of(key)
+            rids.append(rid if rid is not None else self._surrogate(key))
+            keys.append(key)
+            payloads.append(payload)
+        return rids, keys, payloads
+
     def _snapshot_scan(self, snapshot: Snapshot, in_bounds=None,
-                       current_fn=None) -> Iterator[Tuple[RowId, List[Any]]]:
+                       current_fn=None, columnar: bool = False
+                       ) -> Iterator[Any]:
         """Consistent-read scan: latched materialize + version overlay.
 
         The tree rows in bounds are materialized under the structure
-        latch (writers restructure the tree mid-flight otherwise), each
-        resolved through its version chain; tracked rowids the tree walk
-        missed — deleted entries, or keys updated out of the scanned
-        range — are overlaid, bounds-checked against their *resolved*
-        key, and the merge re-sorted into key order.
+        latch (writers restructure the tree mid-flight otherwise).
+
+        *Settled path*: when no version chain and no bulk-load fence
+        can make the snapshot see anything but the current tree (every
+        chain head visible to it — see ``VersionStore.changed_since``),
+        the walk streams out in key order as is: no per-row resolve, no
+        overlay, no re-sort.  Otherwise only the rows that may differ
+        are resolved through their chains; those the walk missed —
+        deleted entries, keys updated out of the scanned range — are
+        overlaid, bounds-checked against their *resolved* key, and the
+        merge re-sorted into key order.  Non-unique IOTs, where
+        duplicate keys share a surrogate, and scans under a fence the
+        snapshot cannot see resolve every row.
         """
         kw = self.key_width
+        versions = self.versions
         with self._latch:
-            pairs = [(self._surrogate(key), key, payload)
-                     for key, payload in
-                     (current_fn() if current_fn else self._tree.items())]
-            tracked = self.versions.tracked_rowids()
-        resolve = self.versions.resolve
-        tracked_set = set(tracked)
+            changed = versions.changed_since(snapshot) if self.unique \
+                else None
+            rids, keys, payloads = self._walk(
+                current_fn() if current_fn else self._tree.items())
+            if changed is None:
+                changed = set(versions.tracked_rowids())
+                resolve_all = True
+            else:
+                resolve_all = False
+        if not changed and not resolve_all:
+            if columnar:
+                yield from _column_batches(rids, keys, payloads)
+            else:
+                for rid, key, payload in zip(rids, keys, payloads):
+                    yield rid, [*key, *payload]
+            return
+        resolve = versions.resolve
         seen = set()
         results = []
-        for rid, key, payload in pairs:
-            if rid in seen and rid in tracked_set:
-                # non-unique duplicate keys share a surrogate; a tracked
-                # surrogate resolves once through its chain
+        for rid, key, payload in zip(rids, keys, payloads):
+            if rid in changed:
+                if rid in seen:
+                    # non-unique duplicate keys share a surrogate; a
+                    # tracked surrogate resolves once through its chain
+                    continue
+                seen.add(rid)
+            elif not resolve_all:
+                results.append((key, rid.sort_key, [*key, *payload], rid))
                 continue
-            seen.add(rid)
-            value = resolve(rid, list(key) + list(payload), snapshot)
+            value = resolve(rid, [*key, *payload], snapshot)
             if value is None:
                 continue
             vkey = tuple(value[:kw])
             if in_bounds is not None and not in_bounds(vkey):
                 continue
             results.append((vkey, rid.sort_key, value, rid))
-        for rid in tracked:
+        for rid in changed:
             if rid in seen:
                 continue
             value = resolve(rid, None, snapshot)
@@ -323,8 +388,13 @@ class IndexOrganizedTable:
                 continue
             results.append((vkey, rid.sort_key, value, rid))
         results.sort(key=lambda item: (item[0], item[1]))
-        for __, __, value, rid in results:
-            yield rid, value
+        rids = [item[3] for item in results]
+        values = [item[2] for item in results]
+        if columnar:
+            yield from _column_batches(rids, [v[:kw] for v in values],
+                                       [v[kw:] for v in values])
+        else:
+            yield from zip(rids, values)
 
     def lookup(self, key_values: List[Any]) -> List[List[Any]]:
         """Return the full rows stored under an exact key."""

@@ -23,6 +23,7 @@ prunes chain tails no live snapshot can still need.
 
 from __future__ import annotations
 
+import bisect
 import threading
 import weakref
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -136,10 +137,19 @@ class VersionStore:
     see a load that committed after them.
     """
 
-    def __init__(self):
+    def __init__(self, track_changes: bool = False):
         self.latch = threading.Lock()
         self._heads: Dict[Any, RowVersion] = {}
         self._fence: Optional[RowVersion] = None
+        #: with ``track_changes``, :meth:`changed_since` can name the
+        #: rowids a snapshot may resolve differently from the current
+        #: value: versions pushed since the last sweep (uncommitted or
+        #: not yet filed), and committed heads filed by commit SCN
+        #: until a prune proves every live snapshot sees them
+        self._track = track_changes
+        self._pending: Dict[RowVersion, Any] = {}
+        self._recent: Dict[int, List[Any]] = {}
+        self._recent_scns: List[int] = []
 
     # -- write side ---------------------------------------------------------
 
@@ -171,11 +181,14 @@ class VersionStore:
             version = RowVersion(None, txn.txn_id if txn else 0,
                                  new_value, prev)
             self._heads[rowid] = version
+            if self._track:
+                self._pending[version] = rowid
             return version
 
     def pop(self, rowid: Any, version: RowVersion) -> None:
         """Undo ``push``: unlink ``version`` from ``rowid``'s chain."""
         with self.latch:
+            self._pending.pop(version, None)
             head = self._heads.get(rowid)
             if head is version:
                 if version.prev is None:
@@ -207,6 +220,9 @@ class VersionStore:
         with self.latch:
             self._heads.clear()
             self._fence = None
+            self._pending.clear()
+            self._recent.clear()
+            self._recent_scns.clear()
 
     @property
     def clean(self) -> bool:
@@ -243,6 +259,61 @@ class VersionStore:
         with self.latch:
             return list(self._heads)
 
+    def changed_since(self, snapshot: Snapshot) -> Optional[set]:
+        """Rowids whose ``snapshot`` value may differ from the current one.
+
+        A rowid outside the returned set resolves to its current value
+        for ``snapshot``: its chain head (if any) is visible to it, and
+        a head's value is by construction what the table holds now.
+        Returns None when a bulk-load fence the snapshot cannot see
+        hides every untracked row — no rowid is settled then.  Needs
+        ``track_changes``; the caller must hold the table's structure
+        latch, so no write lands between this check and its read of the
+        current rows (every write pushes its version first).
+        """
+        with self.latch:
+            fence = self._fence
+            if fence is not None and not snapshot.visible(fence):
+                return None
+            changed = set()
+            pending = self._pending
+            if pending:
+                for version, rowid in list(pending.items()):
+                    if version.scn is not None:
+                        del pending[version]
+                        self._file(version.scn, rowid)
+                    elif not snapshot.visible(version):
+                        changed.add(rowid)
+            scns = self._recent_scns
+            if scns and scns[-1] > snapshot.scn:
+                recent = self._recent
+                for scn in scns[bisect.bisect_right(scns, snapshot.scn):]:
+                    changed.update(recent[scn])
+            return changed
+
+    def _file(self, scn: int, rowid: Any) -> None:
+        """File a committed head under its SCN (latch held)."""
+        rowids = self._recent.get(scn)
+        if rowids is None:
+            rowids = self._recent[scn] = []
+            bisect.insort(self._recent_scns, scn)
+        rowids.append(rowid)
+
+    def _forget_settled(self, lwm: int) -> None:
+        """Drop change records every live snapshot sees (latch held)."""
+        pending = self._pending
+        for version, rowid in list(pending.items()):
+            scn = version.scn
+            if scn is not None:
+                del pending[version]
+                if scn > lwm:
+                    self._file(scn, rowid)
+        scns = self._recent_scns
+        cut = bisect.bisect_right(scns, lwm)
+        for scn in scns[:cut]:
+            del self._recent[scn]
+        del scns[:cut]
+
     def chain_length(self, rowid: Any) -> int:
         n, v = 0, self._heads.get(rowid)
         while v is not None:
@@ -267,6 +338,7 @@ class VersionStore:
                     and fence.scn <= lwm):
                 # every live snapshot sees the bulk load: fence is moot
                 self._fence = None
+            self._forget_settled(lwm)
             for rowid, head in self._heads.items():
                 if stats is not None:
                     stats.record_chain(self.chain_length(rowid))

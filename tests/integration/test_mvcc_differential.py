@@ -212,3 +212,171 @@ class TestCartridges:
             return out
 
         _run_both(dbs, workload)
+
+
+# ---------------------------------------------------------------------------
+# index probes: vectorized == closure == interpreter under MVCC
+# ---------------------------------------------------------------------------
+
+#: IOT prefix probes and B-tree range probes — the access paths of
+#: cartridge callback SQL — with residual filters over NULL-heavy columns
+PROBES = [
+    ("SELECT rid, freq, note FROM p WHERE tok = :1", ["a"]),
+    ("SELECT rid, note FROM p WHERE tok = :1 AND freq > :2", ["a", 2]),
+    ("SELECT rid, freq FROM p WHERE tok = :1 AND note IS NULL", ["b"]),
+    ("SELECT rid FROM p WHERE tok = :1", ["z"]),
+    ("SELECT k, v, w FROM h WHERE k = :1", [5]),
+    ("SELECT k, v FROM h WHERE k >= :1 AND k <= :2 AND w IS NULL", [2, 6]),
+    ("SELECT k, w FROM h WHERE k >= :1 AND v < :2", [0, 20]),
+]
+
+#: engine configurations of the three execution tiers; the interpreter
+#: (compile_expressions off) is the oracle
+TIERS = ({}, {"vectorized_execution": False},
+         {"compile_expressions": False})
+
+
+def _probe_tables(s):
+    s.execute("CREATE TABLE p (tok VARCHAR2(8), rid INTEGER,"
+              " freq INTEGER, note VARCHAR2(8),"
+              " PRIMARY KEY (tok, rid)) ORGANIZATION INDEX")
+    s.execute("CREATE TABLE h (k INTEGER, v INTEGER, w VARCHAR2(8))")
+    s.execute("CREATE INDEX h_k ON h(k)")
+    for i in range(128):
+        s.execute("INSERT INTO p VALUES (:1, :2, :3, :4)",
+                  ["a" if i % 2 else "b", i,
+                   None if i % 3 == 0 else i % 7,
+                   None if i % 4 == 0 else f"n{i}"])
+        s.execute("INSERT INTO h VALUES (:1, :2, :3)",
+                  [None if i % 15 == 0 else i % 8,
+                   None if i % 5 == 0 else i * 2,
+                   None if i % 3 == 0 else f"w{i}"])
+
+
+def _probe_all(s, probes=PROBES):
+    return [s.execute(sql, binds).fetchall() for sql, binds in probes]
+
+
+def _three_tiers(scenario):
+    """Run ``scenario(engine)`` on one fresh engine per tier; every
+    tier must return what the interpreter returns."""
+    from repro.sql.engine import Engine
+    results = [scenario(Engine(**kw)) for kw in TIERS]
+    assert results[0] == results[2]
+    assert results[1] == results[2]
+    return results[2]
+
+
+def _iot_part(results):
+    """The IOT probes of one ``_probe_all`` result (fully versioned;
+    the B-tree probes share the native-index snapshot gap)."""
+    return results[:4]
+
+
+@pytest.mark.vectorized
+class TestIndexProbeSnapshots:
+    def test_probes_run_vectorized(self):
+        from repro.sql.engine import Engine
+        s = Engine().connect()
+        _probe_tables(s)
+        for sql, binds in PROBES:
+            plan = "\n".join(s.explain(sql, binds))
+            assert "[VECTORIZED]" in plan, plan
+        s2 = Engine(vectorized_execution=False).connect()
+        _probe_tables(s2)
+        for sql, binds in PROBES:
+            assert "[VECTORIZED]" not in "\n".join(s2.explain(sql, binds))
+
+    def test_uncommitted_delete_inside_range(self):
+        def scenario(engine):
+            s1, s2 = engine.connect(), engine.connect()
+            _probe_tables(s1)
+            before = _probe_all(s2)
+            s1.begin()
+            s1.execute("DELETE FROM p WHERE tok = 'a' AND rid = 3")
+            s1.execute("DELETE FROM p WHERE tok = 'b' AND rid = 4")
+            s1.execute("DELETE FROM h WHERE k = 5")
+            during = _probe_all(s2)
+            own = _probe_all(s1)
+            s1.rollback()
+            after = _probe_all(s2)
+            # the IOT probes never see the in-flight deletes; the
+            # deleting session sees its own
+            assert _iot_part(during) == _iot_part(before)
+            assert (3, 3, "n3") not in own[0]
+            # rollback re-inserts B-tree entries, so equal keys may
+            # come back in another order
+            assert [sorted(map(repr, r)) for r in after] \
+                == [sorted(map(repr, r)) for r in before]
+            return [before, during, own, after]
+
+        _three_tiers(scenario)
+
+    def test_delete_committed_after_snapshot(self):
+        def scenario(engine):
+            s1, s2 = engine.connect(), engine.connect()
+            _probe_tables(s1)
+            s2.execute("SET TRANSACTION READ ONLY")
+            before = _probe_all(s2)
+            s1.execute("DELETE FROM p WHERE tok = 'a' AND rid < 8")
+            s1.execute("DELETE FROM h WHERE v < 10")
+            pinned = _probe_all(s2)
+            s2.execute("COMMIT")
+            after = _probe_all(s2)
+            assert _iot_part(pinned) == _iot_part(before)
+            assert all(rid >= 8 for rid, __, __ in after[0])
+            return [before, pinned, after]
+
+        _three_tiers(scenario)
+
+    def test_bulk_load_fence_the_snapshot_cannot_see(self):
+        probes = [("SELECT rid, note FROM q WHERE tok = :1", ["a"]),
+                  ("SELECT k, v FROM g WHERE k >= :1 AND w IS NULL", [0])]
+
+        def scenario(engine):
+            s1, s2 = engine.connect(), engine.connect()
+            s1.execute("CREATE TABLE q (tok VARCHAR2(8), rid INTEGER,"
+                       " note VARCHAR2(8), PRIMARY KEY (tok, rid))"
+                       " ORGANIZATION INDEX")
+            s1.execute("CREATE TABLE g (k INTEGER, v INTEGER,"
+                       " w VARCHAR2(8))")
+            s1.execute("CREATE INDEX g_k ON g(k)")
+            s2.execute("SET TRANSACTION READ ONLY")
+            before = _probe_all(s2, probes)
+            # empty tables: both loads take the bulk path, one fence
+            s1.insert_rows("q", [["a", i, None if i % 2 else f"n{i}"]
+                                 for i in range(20)])
+            s1.insert_rows("g", [[i % 6, i, None if i % 3 else "w"]
+                                 for i in range(20)])
+            s1.commit()
+            fenced = _probe_all(s2, probes)
+            s2.execute("COMMIT")
+            after = _probe_all(s2, probes)
+            assert before == fenced == [[], []]
+            assert len(after[0]) == 20 and after[1]
+            return [before, fenced, after]
+
+        _three_tiers(scenario)
+
+    def test_iot_row_rekeyed_out_of_range(self):
+        def scenario(engine):
+            s1, s2 = engine.connect(), engine.connect()
+            _probe_tables(s1)
+            s2.execute("SET TRANSACTION READ ONLY")
+            before = _probe_all(s2)
+            # one re-key commits after the snapshot, one stays in flight
+            s1.execute("UPDATE p SET tok = 'z' WHERE tok = 'a' AND rid = 3")
+            s1.begin()
+            s1.execute("UPDATE p SET tok = 'z' WHERE tok = 'a' AND rid = 5")
+            pinned = _probe_all(s2)
+            s1.commit()
+            still = _probe_all(s2)
+            s2.execute("COMMIT")
+            after = _probe_all(s2)
+            assert _iot_part(pinned) == _iot_part(still) \
+                == _iot_part(before)
+            assert [rid for rid, in after[3]] == [3, 5]
+            assert {3, 5}.isdisjoint(rid for rid, __, __ in after[0])
+            return [before, pinned, still, after]
+
+        _three_tiers(scenario)

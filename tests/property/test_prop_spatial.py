@@ -5,6 +5,7 @@ false negatives*: if two geometries interact, their tile covers must
 interact — otherwise the exact filter never sees the pair.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,3 +111,52 @@ class TestRTreeVsBruteForce:
         everything = Rect(0, 0, WORLD_SIZE, WORLD_SIZE)
         assert set(tree.search(everything)) == {
             i for __, i in entries} - removed
+
+
+@pytest.mark.vectorized
+class TestGroupedPrimaryFilter:
+    """The tile index probes each query group code once and tests every
+    probed tile against all query tiles of that group; it must find
+    exactly what one range statement per query tile found."""
+
+    @given(st.lists(rects(), min_size=0, max_size=25), rects())
+    @settings(max_examples=25, deadline=None)
+    def test_grouped_probe_matches_per_tile_filter(self, geoms, query):
+        from repro import Database
+        from repro.cartridges.spatial import install, make_rect
+        from repro.cartridges.spatial.indextype import sdo_relate_functional
+        from repro.core.callbacks import CallbackPhase
+        db = Database()
+        install(db)
+        gt = db.catalog.get_object_type(GEOMETRY_TYPE_NAME)
+
+        def rebuilt(geom):
+            return make_rect(gt, *bounding_box(geom))
+
+        shapes = [rebuilt(g) for g in geoms]
+        window = rebuilt(query)
+        db.execute("CREATE TABLE parcels (gid INTEGER,"
+                   " geometry SDO_GEOMETRY)")
+        for gid, shape in enumerate(shapes):
+            db.insert_row("parcels", [gid, shape])
+        db.execute("CREATE INDEX parcels_sidx ON parcels(geometry)"
+                   " INDEXTYPE IS SpatialIndexType")
+
+        per_tile = set()
+        for tile in tessellate(window):
+            per_tile.update(rid for rid, in db.execute(
+                "SELECT rid FROM parcels_sidx_tiles WHERE grpcode = :1"
+                " AND code <= :2 AND maxcode >= :3",
+                [tile.grpcode, tile.maxcode, tile.code]).fetchall())
+        domain = db.catalog.get_index("parcels_sidx").domain
+        env = db.make_env(CallbackPhase.SCAN, domain)
+        grouped = domain.methods._primary_filter(
+            domain.index_info(), env, window)
+        assert grouped == sorted(per_tile)
+
+        answer = sorted(gid for gid, in db.execute(
+            "SELECT gid FROM parcels WHERE Sdo_Relate(geometry, :1,"
+            " 'mask=ANYINTERACT')", [window]).fetchall())
+        assert answer == [
+            gid for gid, shape in enumerate(shapes)
+            if sdo_relate_functional(shape, window, "mask=ANYINTERACT")]

@@ -256,6 +256,59 @@ QUERIES = [
 ]
 
 
+PROBE_QUERIES = [
+    # IOT key-prefix probes: (tok, rid)-keyed, NULL-heavy payload
+    ("SELECT rid, freq, note FROM postings WHERE tok = :1", ["t1"]),
+    ("SELECT rid, note FROM postings WHERE tok = :1 AND freq > :2",
+     ["t2", 3]),
+    ("SELECT rid FROM postings WHERE tok = :1 AND note IS NULL", ["t0"]),
+    ("SELECT freq * 2, note || '!' FROM postings WHERE tok = :1"
+     " AND (freq < :2 OR note LIKE 'n%')", ["t3", 4]),
+    ("SELECT rid, freq FROM postings WHERE tok = :1 ORDER BY freq DESC",
+     ["t1"]),
+    ("SELECT note, COUNT(*), SUM(freq) FROM postings WHERE tok = :1"
+     " GROUP BY note", ["t2"]),
+    ("SELECT rid FROM postings WHERE tok = :1", [None]),
+    ("SELECT rid FROM postings WHERE tok = :1 AND freq > :2", ["t1", None]),
+    # B-tree range probes: NULL keys are unindexed, residuals NULL-heavy
+    ("SELECT k, v, w FROM items WHERE k = :1", [4]),
+    ("SELECT k, v FROM items WHERE k >= :1 AND v < :2", [3, 50]),
+    ("SELECT k, w FROM items WHERE k >= :1 AND k <= :2 AND w IS NULL",
+     [2, 7]),
+    ("SELECT v + k, upper(w) FROM items WHERE k > :1"
+     " AND NOT (v BETWEEN 10 AND 60)", [5]),
+    ("SELECT k, v FROM items WHERE k < :1 ORDER BY v", [6]),
+    ("SELECT k, COUNT(*), MAX(v) FROM items WHERE k >= :1 GROUP BY k",
+     [8]),
+    ("SELECT k FROM items WHERE k = :1", [None]),
+    ("SELECT k FROM items WHERE k >= :1 AND v < :2", [1, None]),
+]
+
+
+def _probe_db(kw):
+    """An IOT and a B-tree-indexed heap table, NULLs in every
+    non-key column, identically seeded for each execution tier."""
+    from repro import Database
+    db = Database(**kw)
+    db.execute("CREATE TABLE postings (tok VARCHAR2(8), rid INTEGER,"
+               " freq INTEGER, note VARCHAR2(8),"
+               " PRIMARY KEY (tok, rid)) ORGANIZATION INDEX")
+    db.execute("CREATE TABLE items (k INTEGER, v INTEGER,"
+               " w VARCHAR2(8))")
+    db.execute("CREATE INDEX items_k ON items(k)")
+    rng = random.Random(5)
+    for i in range(120):
+        db.execute("INSERT INTO postings VALUES (:1, :2, :3, :4)",
+                   [f"t{i % 4}", i,
+                    NULL if rng.random() < 0.25 else rng.randint(0, 9),
+                    NULL if rng.random() < 0.3 else f"n{i % 3}"])
+        db.execute("INSERT INTO items VALUES (:1, :2, :3)",
+                   [NULL if rng.random() < 0.15 else rng.randint(0, 12),
+                    NULL if rng.random() < 0.25 else rng.randint(0, 99),
+                    NULL if rng.random() < 0.3 else f"w{i % 5}"])
+    return db
+
+
 class TestEndToEndDifferential:
     @pytest.fixture()
     def people_db(self, db):
@@ -307,6 +360,29 @@ class TestEndToEndDifferential:
             results.append(db.execute(sql).fetchall())
         as_reprs = [[tuple(map(repr, r)) for r in rows] for rows in results]
         assert as_reprs[0] == as_reprs[1] == as_reprs[2], sql
+
+    @pytest.mark.vectorized
+    @pytest.mark.parametrize("sql,binds", PROBE_QUERIES)
+    def test_three_way_index_probes(self, sql, binds):
+        """IOT prefix probes and B-tree range probes (the access paths
+        of cartridge callback SQL) through all three tiers, with NULLs
+        in the probed and the residual columns and NULL probe binds."""
+        results = []
+        for kw in ({}, {"vectorized_execution": False},
+                   {"compile_expressions": False}):
+            db = _probe_db(kw)
+            try:
+                results.append(
+                    ("ok", [tuple(map(repr, r))
+                            for r in db.execute(sql, binds).fetchall()]))
+            except Exception as exc:  # noqa: BLE001 — outcome parity
+                results.append(("error", type(exc).__name__))
+        assert results[0] == results[1] == results[2], sql
+        if binds and all(b is not None for b in binds):
+            plan = "\n".join(_probe_db({}).explain(sql, binds))
+            assert ("IOT PREFIX SCAN" in plan
+                    or "INDEX RANGE SCAN" in plan), plan
+            assert "[VECTORIZED]" in plan, plan
 
     def test_functional_operator_falls_back_identically(self, employees_db):
         """An OperatorCall in a filter is interpreter-only; results must

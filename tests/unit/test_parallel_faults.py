@@ -239,6 +239,33 @@ class TestParallelScanFaults:
         assert parallel == serial
         assert scan_db.engine.parallel_stats.parallel_queries > before
 
+    def test_idle_workers_release_the_scan_snapshot(self, scan_db):
+        """A finished morsel task closes over its scan's snapshot; an
+        idle worker must not keep it, or the low-water mark stays at
+        that snapshot and pruning never cuts a version chain."""
+        import gc
+        import time
+        engine = scan_db.engine
+        scan_db.parallel_execution = True
+        before = engine.parallel_stats.parallel_queries
+        cursor = scan_db.execute("SELECT id FROM big WHERE val < :1",
+                                 [0.5])
+        assert len(cursor.fetchall()) == 500
+        cursor.close()
+        assert engine.parallel_stats.parallel_queries > before
+        for __ in range(2):
+            scan_db.execute("UPDATE big SET val = val + 1 WHERE id < 40")
+            scan_db.execute("COMMIT")
+        deadline = time.monotonic() + 5.0
+        while True:
+            gc.collect()  # only strong references may pin the mark
+            if engine.mvcc.low_water_mark() == engine.mvcc.current_scn \
+                    or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)  # the last worker may still be returning
+        assert engine.mvcc.low_water_mark() == engine.mvcc.current_scn
+        assert engine.prune_versions() >= 40
+
     def test_dml_target_scans_stay_serial(self, scan_db):
         # current-mode reads (UPDATE/DELETE selection) must not morsel
         before = scan_db.engine.parallel_stats.parallel_queries
