@@ -15,8 +15,12 @@ Run directly::
 ``--check`` compares *speedup ratios* (not absolute seconds, which vary
 by machine) against the committed baseline JSON and fails on a >20%
 regression; it also enforces the >= 2x floor on the filter-heavy
-full-scan case.  The same entry points run under pytest via
-:func:`test_executor_benchmark` so the suite keeps them healthy.
+full-scan case.  Each two-arm case reports the median of
+:data:`~repro.bench.harness.SAMPLES` alternating samples per arm
+(:func:`~repro.bench.harness.alternating_medians`), so one noisy
+sample cannot move a gated ratio.  The same entry points run under
+pytest via :func:`test_executor_benchmark` so the suite keeps them
+healthy.
 """
 
 import argparse
@@ -31,7 +35,7 @@ if __name__ == "__main__":  # runnable without PYTHONPATH=src
         os.path.abspath(__file__)), "..", "src"))
 
 from repro import Database, FetchResult, IndexMethods, PrecomputedScan
-from repro.bench.harness import ReportTable
+from repro.bench.harness import SAMPLES, ReportTable, alternating_medians
 from repro.bench.workloads import make_corpus
 
 REPORT_FILE = "executor.txt"
@@ -138,9 +142,8 @@ def build_text_db(n_docs):
     return db, corpus
 
 
-def _timed(db, sql, binds, repeats, compiled=True):
-    """Warm the plan cache, then time ``repeats`` executions."""
-    db.compile_expressions = compiled
+def _timed(db, sql, binds, repeats):
+    """Warm the plan cache, then time ``repeats`` executions (one sample)."""
     db.plan_cache.clear()
     rows = db.execute(sql, binds).fetchall()
     start = time.perf_counter()
@@ -149,17 +152,43 @@ def _timed(db, sql, binds, repeats, compiled=True):
     return time.perf_counter() - start, len(rows)
 
 
+def _compare(db, sql, binds, repeats, baseline, optimized,
+             samples=SAMPLES):
+    """Median seconds of two knob settings, sampled alternately.
+
+    ``baseline`` and ``optimized`` map engine attributes to the values
+    each arm runs with; every sample re-applies its arm's settings and
+    re-plans.  Returns ``(baseline_s, optimized_s, rows)``.
+    """
+    row_counts = set()
+
+    def arm(settings):
+        def sample():
+            for name, value in settings.items():
+                setattr(db, name, value)
+            elapsed, rows = _timed(db, sql, binds, repeats)
+            row_counts.add(rows)
+            return elapsed
+        return sample
+
+    baseline_s, optimized_s = alternating_medians(
+        [arm(baseline), arm(optimized)], samples)
+    assert len(row_counts) == 1, row_counts  # both arms, same answer
+    return baseline_s, optimized_s, row_counts.pop()
+
+
 def bench_filter_full_scan(n_rows, repeats):
     """Filter-heavy full scan: compiled+batched vs interpreter."""
     db = build_scan_db(n_rows)
     db.parallel_execution = False  # this case tracks the serial pipeline
     binds = [0.9, 100, n_rows - 100]
-    interpreted, n1 = _timed(db, FILTER_SQL, binds, repeats, compiled=False)
-    compiled, n2 = _timed(db, FILTER_SQL, binds, repeats, compiled=True)
-    assert n1 == n2 and n1 > 0, (n1, n2)
+    interpreted, compiled, rows = _compare(
+        db, FILTER_SQL, binds, repeats,
+        {"compile_expressions": False}, {"compile_expressions": True})
+    assert rows > 0
     return {"interpreted_s": round(interpreted, 4),
             "compiled_s": round(compiled, 4),
-            "rows": n1,
+            "rows": rows,
             "speedup": round(interpreted / compiled, 3)}
 
 
@@ -175,14 +204,13 @@ def bench_vectorized_scan(n_rows, repeats):
     db = build_scan_db(n_rows)
     db.parallel_execution = False
     binds = [0.9, 100, n_rows - 100]
-    db.vectorized_execution = False
-    closure, n1 = _timed(db, FILTER_SQL, binds, repeats)
-    db.vectorized_execution = True
-    vectorized, n2 = _timed(db, FILTER_SQL, binds, repeats)
-    assert n1 == n2 and n1 > 0, (n1, n2)
+    closure, vectorized, rows = _compare(
+        db, FILTER_SQL, binds, repeats,
+        {"vectorized_execution": False}, {"vectorized_execution": True})
+    assert rows > 0
     return {"closure_s": round(closure, 4),
             "vectorized_s": round(vectorized, 4),
-            "rows": n1,
+            "rows": rows,
             "speedup": round(closure / vectorized, 3)}
 
 
@@ -192,14 +220,13 @@ def bench_vectorized_agg(n_rows, repeats):
     db.parallel_execution = False
     sql = ("SELECT grp, COUNT(*), SUM(val), MIN(val), MAX(val)"
            " FROM t GROUP BY grp")
-    db.vectorized_execution = False
-    closure, n1 = _timed(db, sql, [], repeats)
-    db.vectorized_execution = True
-    vectorized, n2 = _timed(db, sql, [], repeats)
-    assert n1 == n2 and n1 > 0, (n1, n2)
+    closure, vectorized, groups = _compare(
+        db, sql, [], repeats,
+        {"vectorized_execution": False}, {"vectorized_execution": True})
+    assert groups > 0
     return {"closure_s": round(closure, 4),
             "vectorized_s": round(vectorized, 4),
-            "groups": n1,
+            "groups": groups,
             "speedup": round(closure / vectorized, 3)}
 
 
@@ -249,16 +276,15 @@ def bench_parallel_scan(n_rows, repeats, dop=4):
     # morsel kernels target (survivor-side context + projection work is
     # identical in both modes and only dilutes the ratio)
     binds = [0.3, 100, n_rows - 100]
-    db.parallel_execution = False
-    serial, n1 = _timed(db, FILTER_SQL, binds, repeats)
-    db.parallel_execution = True
     db.max_dop = dop
-    parallel, n2 = _timed(db, FILTER_SQL, binds, repeats)
-    assert n1 == n2 and n1 > 0, (n1, n2)
+    serial, parallel, rows = _compare(
+        db, FILTER_SQL, binds, repeats,
+        {"parallel_execution": False}, {"parallel_execution": True})
+    assert rows > 0
     return {"serial_s": round(serial, 4),
             "parallel_s": round(parallel, 4),
             "dop": dop,
-            "rows": n1,
+            "rows": rows,
             "speedup": round(serial / parallel, 3)}
 
 
@@ -297,15 +323,14 @@ def bench_prefetch_overlap(n_items, repeats, depth=2):
     sql = "SELECT Heavy(id) FROM items WHERE Cat_Eq(v, :1) = 1"
     binds = ["c1"]
     db.prefetch_min_rows = 1
-    db.prefetch_depth = 0
-    serial, n1 = _timed(db, sql, binds, repeats)
-    db.prefetch_depth = depth
-    prefetch, n2 = _timed(db, sql, binds, repeats)
-    assert n1 == n2 and n1 > 0, (n1, n2)
+    serial, prefetch, rows = _compare(
+        db, sql, binds, repeats,
+        {"prefetch_depth": 0}, {"prefetch_depth": depth})
+    assert rows > 0
     return {"serial_s": round(serial, 4),
             "prefetch_s": round(prefetch, 4),
             "depth": depth,
-            "rows": n1,
+            "rows": rows,
             "speedup": round(serial / prefetch, 3)}
 
 
@@ -315,19 +340,17 @@ def bench_serial_overhead(n_rows, repeats):
     Compares the same serial scan under (a) plans never annotated for
     parallelism (eligibility threshold set unreachably high) and
     (b) plans annotated but runtime-gated off — i.e. what every
-    serial-only deployment pays for this feature existing.  Min of
-    five rounds per mode to dampen scheduler noise (the vectorized
-    scan is fast enough that jitter would otherwise dominate).
+    serial-only deployment pays for this feature existing.  Both arms
+    run the same serial loop and the ceiling is 5%, so this case takes
+    three times the usual samples.
     """
     db = build_scan_db(n_rows)
     binds = [0.9, 100, n_rows - 100]
     db.parallel_execution = False
-    db.parallel_min_pages = 10 ** 9
-    bare = min(_timed(db, FILTER_SQL, binds, repeats)[0]
-               for __ in range(5))
-    db.parallel_min_pages = 8
-    gated = min(_timed(db, FILTER_SQL, binds, repeats)[0]
-                for __ in range(5))
+    bare, gated, __ = _compare(
+        db, FILTER_SQL, binds, repeats,
+        {"parallel_min_pages": 10 ** 9}, {"parallel_min_pages": 8},
+        samples=3 * SAMPLES)
     return {"bare_s": round(bare, 4), "gated_off_s": round(gated, 4),
             "overhead_ratio": round(gated / bare, 3)}
 
@@ -338,12 +361,13 @@ def bench_domain_scan(n_docs, repeats):
     db.prefetch_depth = 0  # in-memory fetches: no latency worth hiding
     sql = "SELECT id FROM docs WHERE Contains(body, :1)"
     binds = [corpus.common_word(5)]
-    interpreted, n1 = _timed(db, sql, binds, repeats, compiled=False)
-    compiled, n2 = _timed(db, sql, binds, repeats, compiled=True)
-    assert n1 == n2 and n1 > 0, (n1, n2)
+    interpreted, compiled, rows = _compare(
+        db, sql, binds, repeats,
+        {"compile_expressions": False}, {"compile_expressions": True})
+    assert rows > 0
     return {"interpreted_s": round(interpreted, 4),
             "compiled_s": round(compiled, 4),
-            "rows": n1,
+            "rows": rows,
             "speedup": round(interpreted / compiled, 3)}
 
 
@@ -356,7 +380,7 @@ def bench_batch_sweep(n_docs, repeats, sizes=(8, 32, 128)):
     sweep = {}
     for size in sizes:
         db.fetch_batch_size = size
-        elapsed, __ = _timed(db, sql, binds, repeats, compiled=True)
+        elapsed, __ = _timed(db, sql, binds, repeats)
         sweep[str(size)] = round(elapsed, 4)
     return sweep
 
@@ -369,7 +393,7 @@ def run_benchmarks(smoke=False):
     prefetch_repeats = 3 if smoke else 8  # sleeps dominate; few rounds
     return {
         "meta": {"n_rows": n_rows, "n_docs": n_docs, "n_items": n_items,
-                 "repeats": repeats, "smoke": smoke},
+                 "repeats": repeats, "samples": SAMPLES, "smoke": smoke},
         "cases": {
             "filter_full_scan": bench_filter_full_scan(n_rows, repeats),
             "vectorized_scan": bench_vectorized_scan(n_rows, repeats),

@@ -25,7 +25,9 @@ Emits ``BENCH_maintenance.json`` at the repo root.  Run directly::
 
 ``--check`` enforces the acceptance floors (text bulk build >= 5x,
 spatial >= 3x, batched executemany >= 3x) and compares ratios against
-the committed baseline, failing on a >20% regression.
+the committed baseline, failing on a >20% regression.  The bulk-build
+ratios are medians of alternating samples
+(:func:`~repro.bench.harness.alternating_medians`).
 """
 
 import argparse
@@ -40,7 +42,7 @@ if __name__ == "__main__":  # runnable without PYTHONPATH=src
         os.path.abspath(__file__)), "..", "src"))
 
 from repro import Database
-from repro.bench.harness import ReportTable
+from repro.bench.harness import SAMPLES, ReportTable, alternating_medians
 from repro.bench.workloads import make_corpus
 
 REPORT_FILE = "maintenance.txt"
@@ -97,15 +99,20 @@ def _timed_create(db, create_sql, drop_sql, bulk):
     return elapsed
 
 
+def _per_row_vs_bulk(db, create_sql, drop_sql):
+    """Median per-row and bulk CREATE INDEX times, sampled alternately."""
+    per_row, bulk = alternating_medians([
+        lambda: _timed_create(db, create_sql, drop_sql, bulk=False),
+        lambda: _timed_create(db, create_sql, drop_sql, bulk=True)])
+    return {"per_row_s": round(per_row, 4), "bulk_s": round(bulk, 4),
+            "speedup": round(per_row / bulk, 3)}
+
+
 def bench_text_bulk_create(n_docs):
     """Text inverted-index build: sort-group bulk vs per-row postings."""
     db, __ = _text_db(n_docs)
     create = "CREATE INDEX docs_text ON docs(body) INDEXTYPE IS TextIndexType"
-    drop = "DROP INDEX docs_text"
-    per_row = _timed_create(db, create, drop, bulk=False)
-    bulk = _timed_create(db, create, drop, bulk=True)
-    return {"per_row_s": round(per_row, 4), "bulk_s": round(bulk, 4),
-            "speedup": round(per_row / bulk, 3)}
+    return _per_row_vs_bulk(db, create, "DROP INDEX docs_text")
 
 
 def bench_spatial_bulk_create(n_rows):
@@ -113,11 +120,7 @@ def bench_spatial_bulk_create(n_rows):
     db = _spatial_db(n_rows)
     create = ("CREATE INDEX assets_ridx ON assets(geom)"
               " INDEXTYPE IS RtreeIndexType")
-    drop = "DROP INDEX assets_ridx"
-    per_row = _timed_create(db, create, drop, bulk=False)
-    bulk = _timed_create(db, create, drop, bulk=True)
-    return {"per_row_s": round(per_row, 4), "bulk_s": round(bulk, 4),
-            "speedup": round(per_row / bulk, 3)}
+    return _per_row_vs_bulk(db, create, "DROP INDEX assets_ridx")
 
 
 def _looped_vs_batched(db, sql, looped_sets, batched_sets, cleanup_sql):
@@ -239,7 +242,8 @@ def run_benchmarks(smoke=False):
     n_inserts = 100 if smoke else 250
     return {
         "meta": {"n_docs": n_docs, "n_geoms": n_geoms, "n_rows": n_rows,
-                 "n_inserts": n_inserts, "smoke": smoke},
+                 "n_inserts": n_inserts, "samples": SAMPLES,
+                 "smoke": smoke},
         "cases": {
             "text_bulk_create": bench_text_bulk_create(n_docs),
             "spatial_bulk_create": bench_spatial_bulk_create(n_geoms),

@@ -8,9 +8,14 @@ EXPERIMENTS.md can cite them.
 
 from __future__ import annotations
 
+import gc
+import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+
+#: samples per arm taken by :func:`alternating_medians` by default
+SAMPLES = 5
 
 
 @dataclass
@@ -45,6 +50,32 @@ def time_to_first_row(iterator_factory: Callable[[], Iterator[Any]]
         count += 1
     elapsed = time.perf_counter() - start
     return Measurement(elapsed=elapsed, first_row=first, rows=count)
+
+
+def alternating_medians(arms: Sequence[Callable[[], float]],
+                        samples: int = SAMPLES) -> List[float]:
+    """Median of ``samples`` timings per arm, the arms taken in turn.
+
+    Each arm is a callable that applies its own settings and returns the
+    seconds it measured.  One untimed warm-up round runs first, so
+    neither arm pays for cold caches alone.  Every round then runs each
+    arm once, the order flipping between rounds (A B, B A, A B, ...), so
+    drift on a shared machine — a neighbour's load, a frequency change —
+    falls on both arms alike instead of on whichever ran second, and
+    the median discards the rounds it did hit.  Garbage is collected
+    before every sample so one arm's garbage is not charged to the next.
+    """
+    for arm in arms:
+        arm()
+    timings: List[List[float]] = [[] for __ in arms]
+    for round_no in range(samples):
+        order = list(enumerate(arms))
+        if round_no % 2:
+            order.reverse()
+        for index, arm in order:
+            gc.collect()
+            timings[index].append(arm())
+    return [statistics.median(series) for series in timings]
 
 
 def io_delta(db, fn: Callable[[], Any]) -> Measurement:

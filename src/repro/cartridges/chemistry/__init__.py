@@ -22,8 +22,8 @@ from repro.cartridges.chemistry.molecule import (
 from repro.cartridges.chemistry.fingerprint import (
     FP_BITS, fingerprint, path_strings, tanimoto)
 from repro.cartridges.chemistry.search import (
-    substructure_match, full_match, tautomer_match, similarity,
-    nearest_neighbors)
+    substructure_match, compile_pattern, full_match, tautomer_match,
+    similarity, nearest_neighbors)
 from repro.cartridges.chemistry.storage import FingerprintIndexFile, Record
 from repro.cartridges.chemistry.indextype import (
     ChemIndexMethods, ChemStatsMethods, install,
@@ -42,6 +42,7 @@ __all__ = [
     "tanimoto",
     "FP_BITS",
     "substructure_match",
+    "compile_pattern",
     "full_match",
     "tautomer_match",
     "similarity",

@@ -77,9 +77,14 @@ def screen_passes(query_fp: int, candidate_fp: int) -> bool:
     return query_fp & candidate_fp == query_fp
 
 
-def popcount(value: int) -> int:
-    """Number of set bits."""
-    return bin(value).count("1")
+if hasattr(int, "bit_count"):          # Python >= 3.10
+    def popcount(value: int) -> int:
+        """Number of set bits."""
+        return value.bit_count()
+else:
+    def popcount(value: int) -> int:
+        """Number of set bits."""
+        return bin(value).count("1")
 
 
 def tanimoto(fp_a: int, fp_b: int) -> float:

@@ -28,8 +28,10 @@ from repro.cartridges.chemistry.fingerprint import (
     fingerprint, screen_passes, tanimoto)
 from repro.cartridges.chemistry.molecule import (
     Molecule, certificate, parse_smiles, tautomer_key)
-from repro.cartridges.chemistry.search import full_match, substructure_match
-from repro.cartridges.chemistry.storage import FingerprintIndexFile, Record
+from repro.cartridges.chemistry.search import (
+    compile_pattern, full_match, substructure_match)
+from repro.cartridges.chemistry.storage import (
+    FingerprintIndexFile, Record, tombstone_record)
 from repro.core.odci import (
     FetchResult, IndexMethods, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
     ODCIQueryInfo)
@@ -258,22 +260,20 @@ class ChemIndexMethods(IndexMethods):
 
     def index_delete_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
                            env: ODCIEnv) -> None:
-        index_file = self._index_file(ia, env)
-        for rowid, __ in entries:
-            index_file.tombstone(rowid)
+        self._index_file(ia, env).append_many(
+            [tombstone_record(rowid) for rowid, __ in entries])
 
     def index_update_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
                            env: ODCIEnv) -> None:
-        index_file = self._index_file(ia, env)
+        """Each row's tombstone, then its new record, in one append."""
         records: List[Record] = []
         for rowid, __, new_values in entries:
-            index_file.tombstone(rowid)
+            records.append(tombstone_record(rowid))
             text = new_values[0]
             if is_null(text):
                 continue
             records.append(self._record_for(rowid, parse_smiles(str(text))))
-        if records:
-            index_file.append_many(records)
+        self._index_file(ia, env).append_many(records)
 
     # -- scans -----------------------------------------------------------------------
 
@@ -336,6 +336,7 @@ class ChemIndexMethods(IndexMethods):
                     if screen_passes(query_fp, record.fingerprint)]
         env.stats.bump("chem_screen_candidates", len(screened))
         column = ia.column_names[0]
+        contains_query = compile_pattern(query)
         matches: List[Any] = []
         for record in screened:
             text = env.callback.fetch_value(ia.table_name, record.rowid,
@@ -343,7 +344,7 @@ class ChemIndexMethods(IndexMethods):
             if is_null(text):
                 continue
             env.stats.bump("chem_exact_tests")
-            if substructure_match(query, parse_smiles(str(text))):
+            if contains_query(parse_smiles(str(text))):
                 matches.append(record.rowid)
         return sorted(matches)
 

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import ExecutionError
 
@@ -58,6 +58,20 @@ class Molecule:
             adjacency[i].append((j, order))
             adjacency[j].append((i, order))
         return adjacency
+
+    @cached_property
+    def adjacency(self) -> Tuple[Dict[int, int], ...]:
+        """adjacency[i] = {neighbour: bond order}, built once per molecule.
+
+        Parsed molecules are shared across sessions, so the mappings are
+        read-only by contract: they are fully built before the single
+        store that publishes them, and nothing mutates them after.
+        """
+        adjacency: List[Dict[int, int]] = [{} for __ in self.atoms]
+        for i, j, order in self.bonds:
+            adjacency[i][j] = order
+            adjacency[j][i] = order
+        return tuple(adjacency)
 
     def bond_order(self, i: int, j: int) -> Optional[int]:
         """Order of the bond between atoms i and j, or None."""

@@ -8,7 +8,7 @@ models end up with comparable query performance.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.cartridges.chemistry.fingerprint import fingerprint, tanimoto
 from repro.cartridges.chemistry.molecule import (
@@ -87,6 +87,71 @@ def substructure_match(pattern: Molecule, molecule: Molecule) -> bool:
         return False
 
     return backtrack(0)
+
+
+def compile_pattern(pattern: Molecule) -> Callable[[Molecule], bool]:
+    """Prepare ``pattern`` once; the result tests molecules like
+    :func:`substructure_match` (``compile_pattern(p)(m) ==
+    substructure_match(p, m)``).
+
+    Everything that depends only on the pattern is computed here: the
+    atom order, and per position the element, the degree, the anchor
+    (the first earlier-mapped neighbour, whose molecule adjacency
+    supplies the candidates) and the back-bonds every candidate must
+    carry.  The search itself is the same backtracking, run over the
+    molecule's cached ``{neighbour: order}`` adjacency.
+    """
+    p_adj = pattern.neighbors()
+    order = _connected_order(pattern, p_adj)
+    position = {atom: k for k, atom in enumerate(order)}
+    n_atoms = pattern.atom_count
+    n_bonds = pattern.bond_count
+    elements = [pattern.atoms[atom] for atom in order]
+    degrees = [len(p_adj[atom]) for atom in order]
+    anchors: List[Optional[int]] = []
+    back_bonds: List[Tuple[Tuple[int, int], ...]] = []
+    for k, atom in enumerate(order):
+        earlier = [(position[neighbor], bond)
+                   for neighbor, bond in p_adj[atom]
+                   if position[neighbor] < k]
+        anchors.append(earlier[0][0] if earlier else None)
+        back_bonds.append(tuple(earlier))
+
+    def matches(molecule: Molecule) -> bool:
+        if n_atoms > molecule.atom_count or n_bonds > molecule.bond_count:
+            return False
+        m_atoms = molecule.atoms
+        m_adj = molecule.adjacency
+        every_atom = range(len(m_atoms))
+        mapped = [-1] * n_atoms          # molecule atom per position
+        used = [False] * len(m_atoms)
+
+        def backtrack(k: int) -> bool:
+            if k == n_atoms:
+                return True
+            element, degree = elements[k], degrees[k]
+            backs, anchor = back_bonds[k], anchors[k]
+            for m_atom in (every_atom if anchor is None
+                           else m_adj[mapped[anchor]]):
+                if used[m_atom] or m_atoms[m_atom] != element:
+                    continue
+                bonds = m_adj[m_atom]
+                if len(bonds) < degree:
+                    continue
+                for earlier, bond in backs:
+                    if bonds.get(mapped[earlier]) != bond:
+                        break
+                else:
+                    mapped[k] = m_atom
+                    used[m_atom] = True
+                    if backtrack(k + 1):
+                        return True
+                    used[m_atom] = False
+            return False
+
+        return backtrack(0)
+
+    return matches
 
 
 def _connected_order(pattern: Molecule, p_adj) -> List[int]:

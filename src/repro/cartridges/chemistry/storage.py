@@ -17,14 +17,19 @@ Format (big-endian)::
 Deletes append a tombstone record (flags=1) — the file is append-only
 between compactions, which is what makes the *write* pattern comparable
 across stores while the I/O accounting differs (file writes are eager,
-LOB writes are buffered).
+LOB writes are buffered).  A tombstone cancels one live record of its
+rowid written *before* it; a tombstone with no such record (the row's
+old value was NULL, so nothing was indexed) does nothing.
+
+Reads fetch the whole record area with one ``read`` (after the header)
+and decode it in a single pass over the buffer, so a scan costs the
+same two store reads however many records the index holds.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.cartridges.chemistry.fingerprint import FP_BITS
 from repro.errors import StorageError
@@ -32,16 +37,21 @@ from repro.storage.heap import RowId
 
 _MAGIC = b"CFP1"
 _HEADER = struct.Struct(">4sI")
-_RECORD_FIXED = struct.Struct(">IIIBQQ")
 _FP_BYTES = FP_BITS // 8
-_RECORD_SIZE = _RECORD_FIXED.size + _FP_BYTES
+# fingerprint as raw bytes; ints are decoded after unpacking
+_RECORD = struct.Struct(f">IIIBQQ{_FP_BYTES}s")
+_RECORD_SIZE = _RECORD.size
 
 FLAG_TOMBSTONE = 1
 
 
-@dataclass(frozen=True)
-class Record:
-    """One index entry: rowid + hashes + fingerprint."""
+class Record(NamedTuple):
+    """One index entry: rowid + hashes + fingerprint.
+
+    A named tuple rather than a frozen dataclass: a scan decodes every
+    record of the index, and tuple construction skips the dataclass
+    ``__init__``.
+    """
 
     rowid: RowId
     cert_hash: int
@@ -50,20 +60,26 @@ class Record:
     tombstone: bool = False
 
     def pack(self) -> bytes:
-        fixed = _RECORD_FIXED.pack(
+        return _RECORD.pack(
             self.rowid.segment_id, self.rowid.page_no, self.rowid.slot,
             FLAG_TOMBSTONE if self.tombstone else 0,
-            self.cert_hash, self.taut_hash)
-        return fixed + self.fingerprint.to_bytes(_FP_BYTES, "big")
+            self.cert_hash, self.taut_hash,
+            self.fingerprint.to_bytes(_FP_BYTES, "big"))
 
     @classmethod
     def unpack(cls, data: bytes) -> "Record":
-        seg, page, slot, flags, cert_hash, taut_hash = _RECORD_FIXED.unpack(
-            data[:_RECORD_FIXED.size])
-        fp = int.from_bytes(data[_RECORD_FIXED.size:_RECORD_SIZE], "big")
-        return cls(rowid=RowId(seg, page, slot), cert_hash=cert_hash,
-                   taut_hash=taut_hash, fingerprint=fp,
-                   tombstone=bool(flags & FLAG_TOMBSTONE))
+        return _decode(data[:_RECORD_SIZE], 1)[0]
+
+
+def _decode(data: bytes, count: int) -> List[Record]:
+    """Decode ``count`` packed records from the front of ``data``."""
+    if len(data) < count * _RECORD_SIZE:
+        raise StorageError("truncated fingerprint index record")
+    from_bytes = int.from_bytes
+    return [Record(RowId(seg, page, slot), cert_hash, taut_hash,
+                   from_bytes(fp, "big"), bool(flags & FLAG_TOMBSTONE))
+            for seg, page, slot, flags, cert_hash, taut_hash, fp
+            in _RECORD.iter_unpack(memoryview(data)[:count * _RECORD_SIZE])]
 
 
 class FingerprintIndexFile:
@@ -123,8 +139,7 @@ class FingerprintIndexFile:
 
     def tombstone(self, rowid: RowId) -> None:
         """Append a deletion marker for ``rowid``."""
-        self.append(Record(rowid=rowid, cert_hash=0, taut_hash=0,
-                           fingerprint=0, tombstone=True))
+        self.append(tombstone_record(rowid))
 
     def compact(self) -> int:
         """Rewrite the file without dead records; returns the live count."""
@@ -138,35 +153,38 @@ class FingerprintIndexFile:
 
     # -- reading ----------------------------------------------------------------
 
-    def raw_records(self) -> Iterator[Record]:
-        """Every physical record in file order (tombstones included)."""
+    def raw_records(self) -> List[Record]:
+        """Every physical record in file order (tombstones included).
+
+        One ``read`` fetches the whole record area; LOB and FILE stores
+        share this decode path.
+        """
         count = self.record_count()
         handle = self._open()
         handle.seek(_HEADER.size)
-        for __ in range(count):
-            data = handle.read(_RECORD_SIZE)
-            if len(data) < _RECORD_SIZE:
-                raise StorageError("truncated fingerprint index record")
-            yield Record.unpack(data)
+        return _decode(handle.read(count * _RECORD_SIZE), count)
 
-    def records(self) -> Iterator[Record]:
-        """Live records: tombstoned rowids removed, later wins."""
-        dead: Dict[RowId, int] = {}
-        entries: List[Record] = []
-        for record in self.raw_records():
+    def records(self) -> List[Record]:
+        """Live records in file order.
+
+        A tombstone cancels the earliest still-live record of its rowid
+        written before it; one with no such record is ignored, so a row
+        whose old value was NULL keeps the record written after it.
+        """
+        raw = self.raw_records()
+        if not any(record.tombstone for record in raw):
+            return raw
+        entries: List[Optional[Record]] = []
+        live: Dict[RowId, List[int]] = {}   # rowid -> its live positions
+        for record in raw:
             if record.tombstone:
-                dead[record.rowid] = dead.get(record.rowid, 0) + 1
+                earlier = live.get(record.rowid)
+                if earlier:
+                    entries[earlier.pop(0)] = None
             else:
+                live.setdefault(record.rowid, []).append(len(entries))
                 entries.append(record)
-        if not dead:
-            yield from entries
-            return
-        for record in entries:
-            remaining = dead.get(record.rowid, 0)
-            if remaining:
-                dead[record.rowid] = remaining - 1
-                continue
-            yield record
+        return [record for record in entries if record is not None]
 
     def find_by_cert(self, cert_hash: int) -> List[Record]:
         """Live records whose full-structure hash matches."""
@@ -175,3 +193,11 @@ class FingerprintIndexFile:
     def find_by_tautomer(self, taut_hash: int) -> List[Record]:
         """Live records whose tautomer hash matches."""
         return [r for r in self.records() if r.taut_hash == taut_hash]
+
+
+def tombstone_record(rowid: RowId) -> Record:
+    """The deletion marker for ``rowid``.
+
+    See :meth:`FingerprintIndexFile.records` for which record it cancels.
+    """
+    return Record(rowid, 0, 0, 0, True)

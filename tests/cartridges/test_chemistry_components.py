@@ -5,12 +5,13 @@ import random
 import pytest
 
 from repro.cartridges.chemistry import (
-    FingerprintIndexFile, Record, certificate, fingerprint, full_match,
-    nearest_neighbors, parse_smiles, path_strings, random_molecule,
-    random_substructure, similarity, substructure_match, tanimoto,
-    tautomer_key, to_smiles)
+    FingerprintIndexFile, Record, certificate, compile_pattern, fingerprint,
+    full_match, nearest_neighbors, parse_smiles, path_strings,
+    random_molecule, random_substructure, similarity, substructure_match,
+    tanimoto, tautomer_key, to_smiles)
 from repro.cartridges.chemistry.fingerprint import (
-    fingerprint_bytes, fingerprint_from_bytes, screen_passes)
+    fingerprint_bytes, fingerprint_from_bytes, popcount, screen_passes)
+from repro.cartridges.chemistry.storage import tombstone_record
 from repro.errors import ExecutionError, StorageError
 from repro.storage.buffer import BufferCache, IOStats
 from repro.storage.heap import RowId
@@ -149,6 +150,12 @@ class TestFingerprints:
         fp = fingerprint(parse_smiles("CC(=O)O"))
         assert fingerprint_from_bytes(fingerprint_bytes(fp)) == fp
 
+    def test_popcount_counts_set_bits(self):
+        rng = random.Random(9)
+        for value in [0, 1, (1 << 511) | 1] + [rng.getrandbits(512)
+                                               for __ in range(50)]:
+            assert popcount(value) == bin(value).count("1")
+
 
 class TestSubstructureSearch:
     def test_chain_in_ring(self):
@@ -181,6 +188,68 @@ class TestSubstructureSearch:
             mol = random_molecule(rng, size=rng.randint(4, 12))
             sub = random_substructure(rng, mol, size=rng.randint(1, 5))
             assert substructure_match(sub, mol)
+
+    @pytest.mark.parametrize("pattern, molecule", [
+        ("CCC", "C1CCCCC1"), ("C1CC1", "CCCCCC"), ("N", "CCO"),
+        ("C=C", "CC=CC"), ("C#C", "CC=CC"), ("CC(=O)OC", "CC(=O)OC"),
+        ("CCCC", "CC"), ("CO", "OC(C)C=O"), ("C(C)(C)C", "CC(C)CC"),
+        ("C(C)(C)(C)C", "CC(C)CC")])
+    def test_prepared_matcher_agrees_with_oracle(self, pattern, molecule):
+        p, m = parse_smiles(pattern), parse_smiles(molecule)
+        assert compile_pattern(p)(m) is substructure_match(p, m)
+
+    def test_prepared_matcher_reused_across_molecules(self):
+        rng = random.Random(5)
+        mols = [random_molecule(rng, size=rng.randint(2, 14))
+                for __ in range(40)]
+        for pattern in ("CC", "CO", "C=O", "CCN", "C1CCCCC1"):
+            matches = compile_pattern(parse_smiles(pattern))
+            for mol in mols:
+                assert matches(mol) is substructure_match(
+                    parse_smiles(pattern), mol)
+
+    def test_cached_adjacency_mirrors_neighbors(self):
+        mol = parse_smiles("CC(=O)OC1CC1")
+        assert mol.adjacency is mol.adjacency
+        assert [dict(edges) for edges in mol.neighbors()] \
+            == list(mol.adjacency)
+        assert mol == parse_smiles("CC(=O)OC1CC1")
+
+    def test_shared_molecules_matched_from_many_threads(self):
+        """Parsed molecules are shared across sessions: threads racing to
+        build a molecule's cached adjacency must all get correct answers."""
+        import sys
+        import threading
+        rng = random.Random(8)
+        texts = [to_smiles(random_molecule(rng, size=rng.randint(3, 14)))
+                 for __ in range(60)]
+        patterns = [parse_smiles(p) for p in ("CC", "CO", "C=O", "CCN")]
+        expected = [[substructure_match(p, parse_smiles(t).skeleton())
+                     for t in texts] for p in patterns]
+        # fresh molecules (skeletons) whose adjacency nobody built yet
+        shared = [parse_smiles(t).skeleton() for t in texts]
+        errors = []
+
+        def worker():
+            try:
+                for k, pattern in enumerate(patterns):
+                    matches = compile_pattern(pattern)
+                    assert [matches(m) for m in shared] == expected[k]
+            except AssertionError as exc:  # reported after join
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for __ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
     def test_similarity_and_nn(self):
         rng = random.Random(4)
@@ -256,6 +325,46 @@ class TestFingerprintIndexFile:
         live = list(index_file.records())
         assert len(live) == 1
         assert live[0].fingerprint == 2
+
+    def test_orphan_tombstone_does_not_hide_later_record(self, index_file):
+        """A row whose old value was NULL has no record to cancel."""
+        index_file.append(self._record(2))
+        index_file.tombstone(RowId(1, 0, 1))
+        index_file.append(self._record(1, fp=7))
+        live = list(index_file.records())
+        assert [(r.rowid.slot, r.fingerprint) for r in live] \
+            == [(2, 0b1010), (1, 7)]
+
+    def test_tombstone_cancels_only_earlier_records(self, index_file):
+        index_file.append_many([
+            tombstone_record(RowId(1, 0, 1)), self._record(1, fp=1),
+            tombstone_record(RowId(1, 0, 1)), self._record(1, fp=2),
+            tombstone_record(RowId(1, 0, 3))])
+        assert [r.fingerprint for r in index_file.records()] == [2]
+
+    def test_compact_keeps_row_after_orphan_tombstone(self, index_file):
+        index_file.tombstone(RowId(1, 0, 1))
+        index_file.append(self._record(1))
+        assert index_file.compact() == 1
+        assert [r.rowid.slot for r in index_file.records()] == [1]
+        assert not any(r.tombstone for r in index_file.raw_records())
+
+    def test_scan_reads_record_area_once(self, index_file):
+        index_file.append_many([self._record(i) for i in range(50)])
+        reads = []
+        opener = index_file._open
+
+        def counting():
+            handle = opener()
+            original = handle.read
+            handle.read = lambda count=-1: reads.append(count) \
+                or original(count)
+            return handle
+
+        index_file._open = counting
+        assert len(index_file.records()) == 50
+        # the header, then the whole record area
+        assert len(reads) == 2
 
     def test_compact_removes_dead(self, index_file):
         for i in range(4):

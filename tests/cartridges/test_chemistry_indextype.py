@@ -183,3 +183,126 @@ class TestStorageDifferences:
             index.domain.index_info(), env)
         records = list(index_file.raw_records())
         assert not any(r.tombstone for r in records)
+
+
+def _chem_index(db, storage, rows):
+    db.execute("CREATE TABLE m (id INTEGER, mol VARCHAR2(512))")
+    db.insert_rows("m", [list(r) for r in rows])
+    db.execute("CREATE INDEX m_idx ON m(mol) INDEXTYPE IS ChemIndexType"
+               f" PARAMETERS (':Storage {storage}')")
+    db.execute("ANALYZE TABLE m COMPUTE STATISTICS")
+    return db
+
+
+def _index_file(db, name="m_idx"):
+    from repro.core.callbacks import CallbackPhase
+    domain = db.catalog.get_index(name).domain
+    env = db.make_env(CallbackPhase.SCAN, domain)
+    return domain.methods._index_file(domain.index_info(), env)
+
+
+INDEX_SQL = {
+    "match": "SELECT id FROM m WHERE Chem_Match(mol, :1)",
+    "tautomer": "SELECT id FROM m WHERE Chem_Tautomer(mol, :1)",
+    "substructure": "SELECT id FROM m WHERE Chem_Substructure(mol, :1)",
+    "similar": "SELECT id FROM m WHERE Chem_Similar(mol, :1, 0.5)",
+}
+FUNCTIONAL = {
+    "match": chem_match,
+    "tautomer": chem_tautomer,
+    "substructure": chem_substructure,
+    "similar": lambda mol, query: chem_similar(mol, query, 0.5),
+}
+
+
+@pytest.mark.parametrize("storage", ["LOB", "FILE"])
+class TestNullValueMaintenance:
+    """A row updated from NULL has no index record for its tombstone to
+    cancel; the record written after that tombstone must stay live."""
+
+    def _null_then_update(self, chem_db, storage):
+        rows = [(0, None)] + [(i, "CCCCCCCC") for i in range(1, 500)]
+        db = _chem_index(chem_db, storage, rows)
+        db.begin()
+        db.execute("UPDATE m SET mol = 'CN' WHERE id = 0")
+        db.commit()
+        return db
+
+    def test_update_from_null_is_indexed(self, chem_db, storage):
+        db = self._null_then_update(chem_db, storage)
+        sql = INDEX_SQL["substructure"]
+        assert any("DOMAIN INDEX SCAN m_idx" in line
+                   for line in db.explain(sql, ["CN"]))
+        assert db.execute(sql, ["CN"]).fetchall() == [(0,)]
+        assert db.execute("SELECT id FROM m WHERE"
+                          " ChemSubstructureFunc(mol, 'CN') = 1"
+                          ).fetchall() == [(0,)]
+
+    def test_compact_keeps_row_after_orphan_tombstone(self, chem_db,
+                                                      storage):
+        db = self._null_then_update(chem_db, storage)
+        assert _index_file(db).compact() == 500
+        assert db.execute(INDEX_SQL["match"], ["CN"]).fetchall() == [(0,)]
+
+    def test_update_batch_appends_once(self, chem_db, storage, monkeypatch):
+        from repro.cartridges.chemistry.storage import FingerprintIndexFile
+        db = _chem_index(chem_db, storage,
+                         [(i, "CCO" if i % 2 else None) for i in range(40)])
+        calls = []
+        original = FingerprintIndexFile.append_many
+        monkeypatch.setattr(FingerprintIndexFile, "append_many",
+                            lambda self, records: calls.append(len(records))
+                            or original(self, records))
+        monkeypatch.setattr(FingerprintIndexFile, "append",
+                            lambda self, record: calls.append("single"))
+        db.execute("UPDATE m SET mol = 'CCN' WHERE id < 10")
+        db.execute("DELETE FROM m WHERE id >= 30")
+        assert "single" not in calls
+        assert calls == [20, 10]  # 10 tombstones + 10 records; 10 tombstones
+        assert sorted(r[0] for r in db.execute(
+            INDEX_SQL["match"], ["CCN"]).fetchall()) == list(range(10))
+
+
+@pytest.mark.parametrize("storage", ["LOB", "FILE"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_index_equals_functional_after_random_dml(chem_db, storage, seed):
+    """Random insert/update/delete (NULLs included): each operator through
+    the index equals its functional operator over the live rows."""
+    import random
+    from repro.cartridges.chemistry import random_molecule
+    rng = random.Random(seed)
+    pool = ["CCO", "OCC", "CC=O", "CN", "NCCO", "C1CCCCC1", "CC(=O)OC",
+            "CCCCCCCC", "CC", None, None]
+    pool += [to_smiles(random_molecule(rng, size=rng.randint(2, 10)))
+             for __ in range(8)]
+    model = {i: rng.choice(pool) for i in range(60)}
+    db = _chem_index(chem_db, storage, sorted(model.items()))
+    next_id = len(model)
+    for __ in range(80):
+        roll = rng.random()
+        if roll < 0.3 or not model:
+            model[next_id] = rng.choice(pool)
+            db.execute("INSERT INTO m VALUES (:1, :2)",
+                       [next_id, model[next_id]])
+            next_id += 1
+        elif roll < 0.75:
+            victim = rng.choice(sorted(model))
+            model[victim] = rng.choice(pool)
+            db.execute("UPDATE m SET mol = :1 WHERE id = :2",
+                       [model[victim], victim])
+        else:
+            victim = rng.choice(sorted(model))
+            del model[victim]
+            db.execute("DELETE FROM m WHERE id = :1", [victim])
+    db.execute("UPDATE m SET mol = NULL WHERE id < 5")
+    db.execute("UPDATE m SET mol = 'CCN' WHERE id < 3")
+    for i in [k for k in model if k < 5]:
+        model[i] = "CCN" if i < 3 else None
+    for operator, sql in INDEX_SQL.items():
+        assert any("DOMAIN INDEX SCAN m_idx" in line
+                   for line in db.explain(sql, ["CCO"]))
+        for query in ("CCO", "CC=O", "CN", "CCN", "C1CCCCC1", "CC"):
+            got = sorted(r[0] for r in db.execute(sql, [query]).fetchall())
+            expected = sorted(i for i, mol in model.items()
+                              if FUNCTIONAL[operator](mol, query))
+            assert got == expected, (operator, query)

@@ -1,5 +1,6 @@
 """Property tests: VIR filter admissibility and chemistry invariants."""
 
+import itertools
 import random
 
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from repro.cartridges.chemistry.fingerprint import (
 from repro.cartridges.chemistry.molecule import (
     Molecule, certificate, parse_smiles, random_molecule,
     random_substructure, tautomer_key, to_smiles)
-from repro.cartridges.chemistry.search import substructure_match
+from repro.cartridges.chemistry.search import (
+    compile_pattern, substructure_match)
 from repro.cartridges.vir.signature import (
     SIGNATURE_LENGTH, Weights, coarse_distance, coarse_vector,
     component_bound, signature_distance)
@@ -131,3 +133,72 @@ class TestChemistryInvariants:
     def test_self_substructure(self, seed, size):
         mol = mol_from(seed, size)
         assert substructure_match(mol, mol)
+
+
+def brute_force_contains(pattern, molecule):
+    """Subgraph monomorphism by trying every injective atom map."""
+    bonds = {(i, j): order for i, j, order in molecule.bonds}
+
+    def order_of(a, b):
+        return bonds.get((min(a, b), max(a, b)))
+
+    for image in itertools.permutations(range(molecule.atom_count),
+                                        pattern.atom_count):
+        if all(pattern.atoms[p] == molecule.atoms[m]
+               for p, m in enumerate(image)) and \
+                all(order_of(image[i], image[j]) == order
+                    for i, j, order in pattern.bonds):
+            return True
+    return False
+
+
+class TestPreparedMatcher:
+    """compile_pattern(p)(m) must equal the substructure_match oracle."""
+
+    @given(molecule_seeds, molecule_sizes,
+           st.integers(min_value=1, max_value=6))
+    @settings(max_examples=120, deadline=None)
+    def test_embedded_substructure(self, seed, size, sub_size):
+        rng = random.Random(seed)
+        mol = random_molecule(rng, size=size)
+        sub = random_substructure(rng, mol, size=sub_size)
+        assert compile_pattern(sub)(mol) is substructure_match(sub, mol)
+        assert compile_pattern(sub)(mol)
+
+    @given(molecule_seeds, molecule_seeds, molecule_sizes,
+           st.integers(min_value=1, max_value=5))
+    @settings(max_examples=200, deadline=None)
+    def test_unrelated_pairs(self, seed_p, seed_m, size, pattern_size):
+        pattern = mol_from(seed_p, pattern_size)
+        mol = mol_from(seed_m, size)
+        assert compile_pattern(pattern)(mol) \
+            is substructure_match(pattern, mol)
+
+    @given(molecule_seeds, molecule_seeds,
+           st.integers(min_value=1, max_value=7),
+           st.integers(min_value=1, max_value=4), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_small_molecules_match_brute_force(self, seed_p, seed_m, size,
+                                               pattern_size, embedded):
+        mol = mol_from(seed_m, size)
+        if embedded:
+            pattern = random_substructure(random.Random(seed_p), mol,
+                                          size=pattern_size)
+        else:
+            pattern = mol_from(seed_p, pattern_size)
+        expected = brute_force_contains(pattern, mol)
+        assert substructure_match(pattern, mol) is expected
+        assert compile_pattern(pattern)(mol) is expected
+
+    @given(molecule_seeds, molecule_sizes, st.lists(
+        st.tuples(molecule_seeds, st.integers(min_value=1, max_value=14)),
+        min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_one_prepared_pattern_many_molecules(self, seed, size, others):
+        """A prepared matcher keeps no state from one molecule to the next."""
+        pattern = random_substructure(random.Random(seed),
+                                      mol_from(seed, size), size=3)
+        matches = compile_pattern(pattern)
+        for other_seed, other_size in others:
+            mol = mol_from(other_seed, other_size)
+            assert matches(mol) is substructure_match(pattern, mol)

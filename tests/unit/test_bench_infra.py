@@ -4,7 +4,8 @@ import pytest
 
 from repro import Database
 from repro.bench.harness import (
-    Measurement, ReportTable, io_delta, time_call, time_to_first_row)
+    Measurement, ReportTable, alternating_medians, io_delta, time_call,
+    time_to_first_row)
 from repro.bench.workloads import (
     make_corpus, make_molecule_table, make_rect_layer, make_signature_table)
 
@@ -128,6 +129,23 @@ class TestHarness:
         table.emit(str(path))
         content = path.read_text()
         assert content.count("T\nh") == 2
+
+    def test_alternating_medians_order_and_median(self):
+        calls = []
+        a_times = iter([9.0, 1.0, 5.0, 2.0])   # warm-up, then 3 samples
+        b_times = iter([9.0, 7.0, 3.0, 4.0])
+
+        def arm_a():
+            calls.append("a")
+            return next(a_times)
+
+        def arm_b():
+            calls.append("b")
+            return next(b_times)
+
+        assert alternating_medians([arm_a, arm_b], samples=3) == [2.0, 4.0]
+        # warm-up round, then A B, B A, A B
+        assert "".join(calls) == "ab" + "ab" + "ba" + "ab"
 
     def test_measurement_defaults(self):
         measurement = Measurement(elapsed=1.0)
