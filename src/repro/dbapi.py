@@ -41,10 +41,12 @@ original :mod:`repro.errors` exception attached as ``__cause__``.
 from __future__ import annotations
 
 import datetime
+import functools
 import socket as _socket
 import time as _time
 import warnings
 import weakref
+from collections import deque
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import errors as _errors
@@ -288,12 +290,15 @@ def parse_dsn(dsn: Optional[str]) -> DSN:
 # qmark → native positional binds
 # ----------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1024)
 def _qmark_to_native(sql: str) -> Tuple[str, int]:
     """Rewrite ``?`` placeholders to ``:1, :2, ...``; quote-aware.
 
     ``?`` inside a ``'...'`` literal or ``"..."`` identifier is left
     alone (a doubled quote is the SQL escape).  Returns the rewritten
-    text and the number of placeholders replaced.
+    text and the number of placeholders replaced.  A pure function of
+    the text, so it is memoized by exact text: an application re-runs
+    the same few statement texts with new parameters.
     """
     out: List[str] = []
     count = 0
@@ -393,23 +398,35 @@ class Cursor:
 
     def fetchone(self) -> Optional[Tuple[Any, ...]]:
         """Next row of the result set, or None when exhausted."""
-        return self._require_result().fetchone()
+        result = self._require_result()
+        try:
+            return result.fetchone()
+        except _errors.DatabaseError as exc:
+            raise _map_error(exc) from exc
 
     def fetchmany(self, size: Optional[int] = None) -> List[Tuple[Any, ...]]:
         """Next ``size`` rows (default ``arraysize``)."""
         if size is None:
             size = self.arraysize
-        return self._require_result().fetchmany(size)
+        result = self._require_result()
+        try:
+            return result.fetchmany(size)
+        except _errors.DatabaseError as exc:
+            raise _map_error(exc) from exc
 
     def fetchall(self) -> List[Tuple[Any, ...]]:
         """All remaining rows."""
-        return self._require_result().fetchall()
+        result = self._require_result()
+        try:
+            return result.fetchall()
+        except _errors.DatabaseError as exc:
+            raise _map_error(exc) from exc
 
     def __iter__(self) -> Iterator[Tuple[Any, ...]]:
         return self
 
     def __next__(self) -> Tuple[Any, ...]:
-        row = self._require_result().fetchone()
+        row = self.fetchone()
         if row is None:
             raise StopIteration
         return row
@@ -598,71 +615,76 @@ class Connection(_BaseConnection):
 
 
 class _RemoteResult:
-    """Client-side face of one server-side cursor.
+    """Client-side face of one server-side result.
 
-    Rows arrive in FETCH batches sized by the owning DB-API cursor's
-    ``arraysize`` (``fetchone`` never pulls more than one batch ahead);
-    ``fetchall`` drains in ``arraysize``-sized frames when the user has
-    raised ``arraysize`` above the DB-API default of 1, else in large
-    default batches.  ``close()`` releases the server-side cursor early
-    so abandoned scans free their ODCI state without waiting for the
-    connection to go away.
+    The ``execute`` reply already carries the first ``arraysize`` rows
+    (at least one) and says whether they end the result; a result that
+    ends there has no server-side cursor left, so a point read costs
+    one round trip.  Later rows arrive in FETCH batches sized by the
+    owning DB-API cursor's ``arraysize`` (``fetchone`` never pulls more
+    than one batch ahead); ``fetchall`` drains in ``arraysize``-sized
+    frames when the user has raised ``arraysize`` above the DB-API
+    default of 1, else in large default batches.  ``close()`` releases
+    a still-open server-side cursor early so abandoned scans free their
+    ODCI state without waiting for the connection to go away.
     """
 
     _FETCHALL_BATCH = 1024
 
     def __init__(self, connection: "NetworkConnection",
-                 cursor_id: Optional[int],
-                 description: Optional[List[str]], rowcount: int,
-                 dbapi_cursor: Optional[Cursor]):
+                 reply: Dict[str, Any], dbapi_cursor: Cursor):
         self._connection = connection
-        self._cursor_id = cursor_id
-        self.description = description
-        self.rowcount = rowcount
+        self._cursor_id: Optional[int] = reply["cursor"]
+        self.description: Optional[List[str]] = reply["description"]
+        self.rowcount: int = reply["rowcount"]
         self._dbapi_cursor = dbapi_cursor
-        self._buffer: List[Tuple[Any, ...]] = []
-        self._done = cursor_id is None
+        self._buffer: "deque[Tuple[Any, ...]]" = deque(reply["rows"])
+        self._done: bool = reply["done"]
 
     def _fetch_batch(self, n: int) -> None:
-        payload = self._connection._roundtrip(
-            "fetch", {"cursor": self._cursor_id, "n": n})
+        try:
+            payload = self._connection._roundtrip(
+                "fetch", {"cursor": self._cursor_id, "n": n})
+        except Error:
+            # the server closed its cursor before reporting the error;
+            # like an in-process cursor, this one is now exhausted
+            self._done = True
+            self._cursor_id = None
+            raise
         self._buffer.extend(payload["rows"])
         if payload["done"]:
             self._done = True
             self._cursor_id = None
 
     def fetchone(self) -> Optional[Tuple[Any, ...]]:
-        if not self._buffer and not self._done:
-            hint = 1
-            if self._dbapi_cursor is not None:
-                hint = max(1, int(self._dbapi_cursor.arraysize))
-            self._fetch_batch(hint)
-        if self._buffer:
-            return self._buffer.pop(0)
-        return None
+        buffer = self._buffer
+        if not buffer and not self._done:
+            self._fetch_batch(max(1, int(self._dbapi_cursor.arraysize)))
+        return buffer.popleft() if buffer else None
 
     def fetchmany(self, size: int) -> List[Tuple[Any, ...]]:
         if size <= 0:
             return []
-        while len(self._buffer) < size and not self._done:
-            self._fetch_batch(size - len(self._buffer))
-        out, self._buffer = self._buffer[:size], self._buffer[size:]
-        return out
+        buffer = self._buffer
+        while len(buffer) < size and not self._done:
+            self._fetch_batch(size - len(buffer))
+        popleft = buffer.popleft
+        return [popleft() for __ in range(min(size, len(buffer)))]
 
     def fetchall(self) -> List[Tuple[Any, ...]]:
         frame = self._FETCHALL_BATCH
-        if self._dbapi_cursor is not None:
-            arraysize = int(self._dbapi_cursor.arraysize)
-            if arraysize > 1:  # negotiated frame size; 1 is the DB-API
-                frame = arraysize  # default, not a drain preference
+        arraysize = int(self._dbapi_cursor.arraysize)
+        if arraysize > 1:  # negotiated frame size; 1 is the DB-API
+            frame = arraysize  # default, not a drain preference
         while not self._done:
             self._fetch_batch(frame)
-        out, self._buffer = self._buffer, []
+        out = list(self._buffer)
+        self._buffer.clear()
         return out
 
     def close(self) -> None:
         cursor_id, self._cursor_id = self._cursor_id, None
-        self._buffer = []
+        self._buffer.clear()
         self._done = True
         if cursor_id is not None and not self._connection._closed:
             try:
@@ -800,16 +822,17 @@ class NetworkConnection(_BaseConnection):
 
     def _execute(self, sql: str, binds: Optional[List[Any]],
                  cursor: Cursor) -> _RemoteResult:
-        reply = self._roundtrip("execute", {"sql": sql, "binds": binds})
-        return _RemoteResult(self, reply["cursor"], reply["description"],
-                             reply["rowcount"], cursor)
+        reply = self._roundtrip("execute", {
+            "sql": sql, "binds": binds,
+            "prefetch": max(1, int(cursor.arraysize))})
+        return _RemoteResult(self, reply, cursor)
 
     def _executemany(self, sql: str, param_sets: List[List[Any]],
                      cursor: Cursor) -> _RemoteResult:
-        reply = self._roundtrip("executemany",
-                                {"sql": sql, "binds_seq": param_sets})
-        return _RemoteResult(self, reply["cursor"], reply["description"],
-                             reply["rowcount"], cursor)
+        reply = self._roundtrip("executemany", {
+            "sql": sql, "binds_seq": param_sets,
+            "prefetch": max(1, int(cursor.arraysize))})
+        return _RemoteResult(self, reply, cursor)
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,8 @@ Request operations (client → server):
 
 ===============  =====================================================
 ``hello``        handshake: magic, protocol version, user, settings
-``execute``      one statement with positional binds
+``execute``      one statement with positional binds; ``prefetch``
+                 rows of its result come back in the reply
 ``executemany``  one statement once per parameter set (array DML)
 ``fetch``        next ``n`` rows of an open server-side cursor
 ``close_cursor`` release a server-side cursor early
@@ -29,8 +30,20 @@ Request operations (client → server):
 ===============  =====================================================
 
 Response operations (server → client): ``welcome`` (handshake accept),
-``ok``, ``result`` (statement accepted: cursor id, description,
-rowcount), ``rows`` (one fetch batch + done flag), and ``error``.
+``ok``, ``result`` (statement run: description, rowcount, the first
+``prefetch`` rows, a done flag, and a cursor id unless done), ``rows``
+(one fetch batch + done flag), and ``error``.
+
+Every batch (the rows of a ``result`` and of each ``rows`` reply) is
+cut with one row of lookahead: the server pulls ``n + 1`` rows, ships
+``n`` and keeps the extra one for the next batch, so the batch that
+ends a result says so (``done``) instead of costing one more empty
+FETCH.  A ``done`` result has already been closed on the server —
+``ODCIIndexClose`` has fired and there is no cursor to fetch from or
+close, so a point read is one round trip.  An engine error raised
+while a batch is being pulled is *parked*: the rows pulled before it
+ship with ``done`` unset and the error answers the next ``fetch``, so
+it surfaces at the same DB-API call as in-process.
 
 An **error frame** is typed: it carries the :mod:`repro.errors` class
 name, the message, the DB-API exception class name the driver should
@@ -62,8 +75,9 @@ __all__ = [
 ]
 
 #: bumped on any incompatible framing/message change; the handshake
-#: carries it and mismatches are refused with a typed error frame
-PROTOCOL_VERSION = 1
+#: carries it and mismatches are refused with a typed error frame.
+#: v2: ``execute`` replies carry the first rows of the result.
+PROTOCOL_VERSION = 2
 
 #: handshake watermark: a peer that does not send it is not a repro client
 MAGIC = "RPRO"

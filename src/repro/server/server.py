@@ -160,6 +160,44 @@ class ServerStats:
             }
 
 
+class _OpenCursor:
+    """A server-side cursor between batches.
+
+    Batches are cut with one row of lookahead: :meth:`next_batch` pulls
+    ``n + 1`` rows, returns ``n`` and keeps the extra one for the next
+    batch, so the batch that ends the result knows it is the last.  An
+    error raised while pulling is parked in :attr:`error` behind the
+    rows pulled before it, so it reaches the client at the FETCH that
+    asks for the row that failed — the same DB-API call at which the
+    in-process driver raises it.
+    """
+
+    __slots__ = ("cursor", "lookahead", "error")
+
+    def __init__(self, cursor: Any):
+        self.cursor = cursor
+        self.lookahead: List[Tuple[Any, ...]] = []
+        self.error: Optional[BaseException] = None
+
+    def next_batch(self, n: int) -> Tuple[List[Tuple[Any, ...]], bool]:
+        """Up to ``n`` rows and whether they end the result."""
+        if self.error is not None:
+            return [], False
+        rows, self.lookahead = self.lookahead, []
+        fetchone = self.cursor.fetchone
+        try:
+            while len(rows) <= n:
+                row = fetchone()
+                if row is None:
+                    return rows, True
+                rows.append(row)
+        except Exception as exc:  # noqa: BLE001 - re-raised at next fetch
+            self.error = exc
+            return rows, False
+        self.lookahead = [rows.pop()]
+        return rows, False
+
+
 class _Handler:
     """One connected client: a socket, a session, a cursor registry."""
 
@@ -169,7 +207,7 @@ class _Handler:
         self.sock = sock
         self.addr = addr
         self.session: Any = None
-        self.cursors: Dict[int, Any] = {}
+        self.cursors: Dict[int, _OpenCursor] = {}
         self._next_cursor = 1
         #: held while a request is being processed *and* its response
         #: sent — shutdown() acquires it to let in-flight work finish
@@ -316,18 +354,16 @@ class _Handler:
             self._begin_if_needed()
             cursor = session.execute(payload.get("sql", ""),
                                      payload.get("binds"))
-            return False, "result", self._describe(cursor)
+            return False, "result", self._result(cursor, payload)
         if op == "executemany":
             self._begin_if_needed()
             cursor = session.executemany(payload.get("sql", ""),
                                          payload.get("binds_seq") or [])
-            return False, "result", self._describe(cursor)
+            return False, "result", self._result(cursor, payload)
         if op == "fetch":
             return False, "rows", self._fetch(payload)
         if op == "close_cursor":
-            cursor = self.cursors.pop(payload.get("cursor"), None)
-            if cursor is not None:
-                cursor.close()
+            self._close_cursor(payload.get("cursor"))
             return False, "ok", {}
         if op == "commit":
             session.commit()
@@ -348,30 +384,51 @@ class _Handler:
         if not self.session.in_transaction:
             self.session.begin()
 
-    def _describe(self, cursor: Any) -> Dict[str, Any]:
+    def _result(self, cursor: Any, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """The ``result`` reply: the first ``prefetch`` rows ride along.
+
+        A result that ends inside the first batch is closed before the
+        reply goes out (``ODCIIndexClose`` has fired) and gets no
+        cursor id, so the client needs neither a FETCH nor a
+        ``close_cursor`` for it.
+        """
         if cursor.description is None:
             cursor.close()
             return {"cursor": None, "description": None,
-                    "rowcount": cursor.rowcount}
-        cursor_id = self._next_cursor
-        self._next_cursor += 1
-        self.cursors[cursor_id] = cursor
+                    "rowcount": cursor.rowcount, "rows": [], "done": True}
+        open_cursor = _OpenCursor(cursor)
+        rows, done = open_cursor.next_batch(
+            max(1, int(payload.get("prefetch", 1))))
+        cursor_id = None
+        if done:
+            cursor.close()
+        else:
+            cursor_id = self._next_cursor
+            self._next_cursor += 1
+            self.cursors[cursor_id] = open_cursor
         return {"cursor": cursor_id,
                 "description": list(cursor.description),
-                "rowcount": cursor.rowcount}
+                "rowcount": cursor.rowcount, "rows": rows, "done": done}
 
     def _fetch(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         cursor_id = payload.get("cursor")
-        n = int(payload.get("n", 1))
-        cursor = self.cursors.get(cursor_id)
-        if cursor is None:
+        open_cursor = self.cursors.get(cursor_id)
+        if open_cursor is None:
             raise ProtocolError(f"unknown or closed cursor {cursor_id!r}")
-        rows = cursor.fetchmany(n) if n > 0 else cursor.fetchall()
-        done = len(rows) < n or n <= 0
+        rows, done = open_cursor.next_batch(max(1, int(payload.get("n", 1))))
+        if not rows and open_cursor.error is not None:
+            # a parked error, or one raised before this batch's first
+            # row: this FETCH is the call it belongs to
+            self._close_cursor(cursor_id)
+            raise open_cursor.error
         if done:
-            cursor.close()
-            self.cursors.pop(cursor_id, None)
+            self._close_cursor(cursor_id)
         return {"rows": rows, "done": done}
+
+    def _close_cursor(self, cursor_id: Any) -> None:
+        open_cursor = self.cursors.pop(cursor_id, None)
+        if open_cursor is not None:
+            open_cursor.cursor.close()
 
     # -- teardown ----------------------------------------------------------
 
@@ -385,9 +442,9 @@ class _Handler:
         session (which rolls back and closes anything it still
         tracks).
         """
-        for cursor in list(self.cursors.values()):
+        for open_cursor in list(self.cursors.values()):
             try:
-                cursor.close()
+                open_cursor.cursor.close()
             except Exception:  # noqa: BLE001 - teardown must not raise
                 pass
         self.cursors.clear()

@@ -22,6 +22,7 @@ table has grown or shrunk enough to move cost estimates.
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -30,6 +31,7 @@ from typing import Optional, Tuple
 __all__ = ["PlanCache", "CachedPlan", "PlanCacheStats", "normalize_sql"]
 
 
+@functools.lru_cache(maxsize=1024)
 def normalize_sql(sql: str) -> str:
     """Whitespace-collapsed statement text used as the cache-key text.
 
@@ -42,6 +44,9 @@ def normalize_sql(sql: str) -> str:
 
     Deliberately does NOT lower-case: string literals are
     case-significant, and the parser already case-folds identifiers.
+
+    A pure function of the text, memoized by exact text: statements and
+    the cartridges' callback SQL repeat a few texts with new binds.
     """
     out = []
     i, n = 0, len(sql)

@@ -34,9 +34,18 @@ REC_PAGE = 1  # {"seg", "page": Page.state() dict}
 REC_IOT = 2   # {"seg", "rows": [...], "snap_lsn": int}
 REC_TOMB = 3  # {"seg"}
 
+#: where a live record sits: (file offset, record length, lsn)
+_Loc = Tuple[int, int, int]
+
 
 class PageStore:
-    """Append-only durable store for page images and IOT dumps."""
+    """Append-only durable store for page images and IOT dumps.
+
+    The in-memory directory holds only where each live record sits —
+    ``(offset, length, lsn)`` — never its payload: images are read back
+    (``pread``) at recovery, and compaction copies raw record bytes, so
+    a checkpointed table is not kept in memory a second time.
+    """
 
     #: compact when dead records exceed live ones by this factor
     COMPACT_RATIO = 3
@@ -50,10 +59,10 @@ class PageStore:
         self._latch = threading.RLock()
         self._fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
         self._size = os.fstat(self._fd).st_size
-        #: (seg, page_no) -> latest page-image payload
-        self.pages: Dict[Tuple[int, int], Dict[str, Any]] = {}
-        #: seg -> latest IOT dump payload
-        self.iot_dumps: Dict[int, Dict[str, Any]] = {}
+        #: (seg, page_no) -> (offset, length, lsn) of the latest image
+        self.pages: Dict[Tuple[int, int], _Loc] = {}
+        #: seg -> (offset, length, snap_lsn) of the latest IOT dump
+        self.iot_dumps: Dict[int, _Loc] = {}
         self.records_written = 0
         self._live_records = 0
 
@@ -81,23 +90,33 @@ class PageStore:
                     payload = pickle.loads(body)
                 except Exception:
                     break
-                self._index_record(rec_type, payload)
+                self._index_record(rec_type, payload, offset,
+                                   header_len + body_len)
                 offset = body_off + body_len
             if offset < size:
                 os.ftruncate(self._fd, offset)
                 self._size = offset
             self._live_records = len(self.pages) + len(self.iot_dumps)
 
-    def _index_record(self, rec_type: int, payload: Dict[str, Any]) -> None:
+    def _index_record(self, rec_type: int, payload: Dict[str, Any],
+                      offset: int, length: int) -> None:
         if rec_type == REC_PAGE:
-            self.pages[(payload["seg"], payload["page"]["page_no"])] = payload
+            page = payload["page"]
+            self.pages[(payload["seg"], page["page_no"])] = (
+                offset, length, page["lsn"])
         elif rec_type == REC_IOT:
-            self.iot_dumps[payload["seg"]] = payload
+            self.iot_dumps[payload["seg"]] = (offset, length,
+                                              payload["snap_lsn"])
         elif rec_type == REC_TOMB:
             seg = payload["seg"]
             for key in [k for k in self.pages if k[0] == seg]:
                 del self.pages[key]
             self.iot_dumps.pop(seg, None)
+
+    def _read_payload(self, loc: _Loc) -> Dict[str, Any]:
+        offset, length, __ = loc
+        data = os.pread(self._fd, length, offset)
+        return pickle.loads(data[_HEADER.size:])
 
     # -- appends --------------------------------------------------------
 
@@ -109,10 +128,11 @@ class PageStore:
         body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         data = _HEADER.pack(rec_type, len(body), zlib.crc32(body)) + body
         with self._latch:
-            os.pwrite(self._fd, data, self._size)
+            offset = self._size
+            os.pwrite(self._fd, data, offset)
             self._size += len(data)
             self.records_written += 1
-            self._index_record(rec_type, payload)
+            self._index_record(rec_type, payload, offset, len(data))
         if self.event_hook is not None:
             self.event_hook("page.flush")
 
@@ -145,18 +165,20 @@ class PageStore:
     def max_page_lsn(self) -> int:
         """Highest LSN stamped on any stored image (epoch recovery aid)."""
         with self._latch:
-            lsns = [p["page"]["lsn"] for p in self.pages.values()]
-            lsns.extend(d["snap_lsn"] for d in self.iot_dumps.values())
+            lsns = [loc[2] for loc in self.pages.values()]
+            lsns.extend(loc[2] for loc in self.iot_dumps.values())
             return max(lsns) if lsns else 0
 
     def pages_of(self, seg: int) -> List[Dict[str, Any]]:
         with self._latch:
-            return [p["page"] for (s, __), p in sorted(self.pages.items())
+            return [self._read_payload(loc)["page"]
+                    for (s, __), loc in sorted(self.pages.items())
                     if s == seg]
 
     def iot_dump_of(self, seg: int) -> Optional[Dict[str, Any]]:
         with self._latch:
-            return self.iot_dumps.get(seg)
+            loc = self.iot_dumps.get(seg)
+            return None if loc is None else self._read_payload(loc)
 
     # -- compaction -----------------------------------------------------
 
@@ -166,26 +188,25 @@ class PageStore:
             return dead > max(16, self._live_records * self.COMPACT_RATIO)
 
     def compact(self) -> None:
-        """Rewrite only the live directory to a fresh file, atomically."""
+        """Rewrite only the live records to a fresh file, atomically.
+
+        Records are copied as raw bytes (header and checksum included);
+        nothing is unpickled or re-encoded.
+        """
         with self._latch:
             tmp = self.path + ".tmp"
             fd = os.open(tmp, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o644)
+            pages: Dict[Tuple[int, int], _Loc] = {}
+            iot_dumps: Dict[int, _Loc] = {}
             try:
                 size = 0
-                for payload in self.pages.values():
-                    body = pickle.dumps(payload,
-                                        protocol=pickle.HIGHEST_PROTOCOL)
-                    data = _HEADER.pack(REC_PAGE, len(body),
-                                        zlib.crc32(body)) + body
-                    os.pwrite(fd, data, size)
-                    size += len(data)
-                for payload in self.iot_dumps.values():
-                    body = pickle.dumps(payload,
-                                        protocol=pickle.HIGHEST_PROTOCOL)
-                    data = _HEADER.pack(REC_IOT, len(body),
-                                        zlib.crc32(body)) + body
-                    os.pwrite(fd, data, size)
-                    size += len(data)
+                for directory, moved in ((self.pages, pages),
+                                         (self.iot_dumps, iot_dumps)):
+                    for key, (offset, length, lsn) in directory.items():
+                        data = os.pread(self._fd, length, offset)
+                        os.pwrite(fd, data, size)
+                        moved[key] = (size, length, lsn)
+                        size += length
                 os.fsync(fd)
             finally:
                 os.close(fd)
@@ -193,7 +214,8 @@ class PageStore:
             os.close(self._fd)
             self._fd = os.open(self.path, os.O_RDWR, 0o644)
             self._size = size
-            self.records_written = len(self.pages) + len(self.iot_dumps)
+            self.pages, self.iot_dumps = pages, iot_dumps
+            self.records_written = len(pages) + len(iot_dumps)
             self._live_records = self.records_written
 
     def close(self) -> None:

@@ -165,6 +165,38 @@ class TestErrorParity:
             conn.execute("SELECT * FROM no_such_table")
         assert conn.execute("SELECT COUNT(*) FROM people").fetchone() == (3,)
 
+    @pytest.mark.parametrize("arraysize", [1, 3])
+    def test_fetch_time_error_raises_at_the_failing_row(self, conn,
+                                                        arraysize):
+        """Row 1 evaluates, row 2 divides by zero: ``execute`` succeeds
+        and the error surfaces at the second ``fetchone`` — also over
+        the wire, where ``execute`` already pulled both rows."""
+        from repro import errors as repro_errors
+        cur = conn.cursor()
+        cur.execute("CREATE TABLE ratios (k INTEGER, a INTEGER, b INTEGER)")
+        cur.executemany("INSERT INTO ratios VALUES (?, ?, ?)",
+                        [(1, 4, 2), (2, 1, 0), (3, 3, 1)])
+        cur.arraysize = arraysize
+        cur.execute("SELECT a / b FROM ratios ORDER BY k")
+        assert cur.fetchone() == (2.0,)
+        with pytest.raises(dbapi.ProgrammingError) as excinfo:
+            cur.fetchone()
+        assert isinstance(excinfo.value.__cause__,
+                          repro_errors.ExecutionError)
+        assert cur.fetchone() is None   # the failed cursor is exhausted
+
+    def test_fetchall_error_is_mapped(self, conn):
+        from repro import errors as repro_errors
+        cur = conn.cursor()
+        cur.execute("CREATE TABLE ratios (a INTEGER, b INTEGER)")
+        cur.executemany("INSERT INTO ratios VALUES (?, ?)",
+                        [(4, 2), (1, 0)])
+        cur.execute("SELECT a / b FROM ratios")
+        with pytest.raises(dbapi.ProgrammingError) as excinfo:
+            cur.fetchall()
+        assert isinstance(excinfo.value.__cause__,
+                          repro_errors.ExecutionError)
+
     def test_error_classes_exposed_on_connection(self, conn):
         # PEP 249 optional extension: Connection.Error etc.
         assert conn.ProgrammingError is dbapi.ProgrammingError

@@ -276,14 +276,17 @@ class TestStats:
         conn = dbapi.connect(server.url, timeout=10.0)
         conn.execute("CREATE TABLE t (id INTEGER)")
         conn.execute("INSERT INTO t VALUES (?)", (7,))
+        conn.execute("INSERT INTO t VALUES (?)", (8,))
         conn.commit()
+        # two rows at arraysize 1: execute ships the first, the second
+        # needs a FETCH (a one-row result would end inside execute)
         conn.execute("SELECT id FROM t").fetchall()
         local = engine.connect()
         rows = local.execute(
             "SELECT op, requests FROM user_server_stats"
             " WHERE enabled = :1", [True]).fetchall()
         by_op = dict(rows)
-        assert by_op["execute"] >= 3
+        assert by_op["execute"] >= 4
         assert by_op["commit"] == 1
         assert by_op["fetch"] >= 1
         (conns,) = local.execute(
@@ -317,7 +320,9 @@ class TestStats:
 
 
 class TestFetchFraming:
-    """fetchall drains in frames matching the negotiated ``arraysize``."""
+    """Protocol v2 batching: ``execute`` replies carry the first
+    ``arraysize`` rows, every batch is cut with one row of lookahead, and
+    FETCH frames match the negotiated ``arraysize``."""
 
     def _seeded_conn(self, server, n_rows=100):
         conn = dbapi.connect(server.url, timeout=30.0)
@@ -328,42 +333,147 @@ class TestFetchFraming:
         conn.commit()
         return conn
 
-    def _spy_fetches(self, conn):
+    def _spy(self, conn):
+        """Record every round trip as ``(op, payload)``."""
         recorded = []
         original = conn._roundtrip
 
         def spy(op, payload):
-            if op == "fetch":
-                recorded.append(payload["n"])
+            recorded.append((op, payload))
             return original(op, payload)
 
         conn._roundtrip = spy
         return recorded
 
+    @pytest.fixture
+    def text_engine(self, engine):
+        from repro.cartridges.text import install as install_text
+        setup = engine.connect()
+        install_text(setup)
+        setup.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(200))")
+        bodies = ["zebra one", "plain two", "zebra three", "plain four",
+                  "zebra five", "solo okapi"]
+        for i, body in enumerate(bodies):
+            setup.execute("INSERT INTO docs VALUES (:1, :2)", [i, body])
+        setup.execute("CREATE INDEX docs_text ON docs(body)"
+                      " INDEXTYPE IS TextIndexType")
+        return engine
+
     def test_fetchall_honors_raised_arraysize_on_the_wire(self, server):
         conn = self._seeded_conn(server)
-        recorded = self._spy_fetches(conn)
+        recorded = self._spy(conn)
         cur = conn.cursor()
         cur.arraysize = 7
         cur.execute("SELECT id FROM t ORDER BY id")
         rows = cur.fetchall()
         assert rows == [(i,) for i in range(100)]
-        assert recorded, "no FETCH ops observed"
-        assert all(n == 7 for n in recorded), recorded
+        ops = [op for op, __ in recorded]
+        assert recorded[0] == ("execute", {
+            "sql": "SELECT id FROM t ORDER BY id", "binds": None,
+            "prefetch": 7})
+        fetches = [p["n"] for op, p in recorded if op == "fetch"]
+        # execute ships 7 rows; 93 more drain in 14 frames of n=7, the
+        # last carrying 2 rows and the done flag
+        assert fetches == [7] * 14, fetches
+        assert ops == ["execute"] + ["fetch"] * 14
         conn.close()
 
     def test_default_arraysize_keeps_large_drain_batches(self, server):
         """arraysize 1 is the DB-API default, not a drain preference:
         fetchall must not degrade to one row per round trip."""
         conn = self._seeded_conn(server)
-        recorded = self._spy_fetches(conn)
+        recorded = self._spy(conn)
         cur = conn.cursor()
         assert cur.arraysize == 1
         cur.execute("SELECT id FROM t")
         rows = cur.fetchall()
         assert len(rows) == 100
-        assert all(n > 1 for n in recorded), recorded
-        assert len(recorded) <= 2  # one drain + the done frame at most
+        fetches = [p["n"] for op, p in recorded if op == "fetch"]
+        # one large drain; its lookahead ends it without an empty FETCH
+        assert len(fetches) == 1 and fetches[0] > 1, fetches
+        conn.close()
+
+    def test_point_select_is_one_round_trip(self, server):
+        conn = self._seeded_conn(server)
+        recorded = self._spy(conn)
+        cur = conn.cursor()
+        for key in (3, 4):
+            cur.execute("SELECT id FROM t WHERE id = ?", (key,))
+            assert cur.fetchall() == [(key,)]
+        cur.close()
+        # no fetch for the rows, no close_cursor for the result
+        assert [op for op, __ in recorded] == ["execute", "execute"]
+        assert not server._handlers[0].cursors
+        conn.close()
+
+    def test_empty_result_is_one_round_trip(self, server):
+        conn = self._seeded_conn(server, n_rows=3)
+        recorded = self._spy(conn)
+        cur = conn.cursor()
+        cur.execute("SELECT id FROM t WHERE id = ?", (99,))
+        assert cur.fetchone() is None
+        assert cur.description[0][0] == "id"
+        assert [op for op, __ in recorded] == ["execute"]
+        conn.close()
+
+    def test_contains_fetchone_then_fetchall_is_two_round_trips(
+            self, text_engine):
+        with Server(engine=text_engine) as server:
+            conn = dbapi.connect(server.url, timeout=10.0)
+            recorded = self._spy(conn)
+            cur = conn.cursor()
+            assert cur.arraysize == 1
+            cur.execute("SELECT id FROM docs WHERE Contains(body, ?)"
+                        " ORDER BY id", ("zebra",))
+            assert cur.fetchone() == (0,)      # shipped with execute
+            assert cur.fetchall() == [(2,), (4,)]
+            cur.close()
+            assert [op for op, __ in recorded] == ["execute", "fetch"]
+            conn.close()
+
+    def test_done_result_has_closed_its_scan(self, text_engine):
+        with Server(engine=text_engine) as server:
+            conn = dbapi.connect(server.url, timeout=10.0)
+            recorded = self._spy(conn)
+            with FaultPlan(text_engine) as faults:
+                cur = conn.cursor()
+                cur.execute("SELECT id FROM docs WHERE Contains(body, ?)",
+                            ("okapi",))
+                # the one-row result ended inside execute: the scan was
+                # closed before the reply, not by a later close_cursor
+                assert faults.calls("ODCIIndexClose", index="docs_text") == 1
+                assert cur.fetchall() == [(5,)]
+                cur.close()
+                assert faults.calls("ODCIIndexClose", index="docs_text") == 1
+            assert [op for op, __ in recorded] == ["execute"]
+            conn.close()
+
+    def test_v1_hello_gets_typed_error_frame(self, server):
+        assert PROTOCOL_VERSION == 2
+        sock = _raw_client(server, {**_good_hello(), "version": 1})
+        op, payload, __ = recv_frame(sock)
+        assert op == "error"
+        assert payload["dbapi"] == "InterfaceError"
+        assert "client speaks 1" in payload["message"]
+        sock.close()
+        assert server.stats.handshake_failures == 1
+
+    def test_parked_error_answers_the_next_fetch(self, server):
+        conn = dbapi.connect(server.url, timeout=10.0)
+        cur = conn.cursor()
+        cur.execute("CREATE TABLE r (k INTEGER, a INTEGER, b INTEGER)")
+        cur.executemany("INSERT INTO r VALUES (?, ?, ?)",
+                        [(1, 4, 2), (2, 1, 0)])
+        recorded = self._spy(conn)
+        cur.execute("SELECT a / b FROM r ORDER BY k")
+        handler = server._handlers[0]
+        (open_cursor,) = handler.cursors.values()
+        assert isinstance(open_cursor.error, repro_errors.ExecutionError)
+        assert cur.fetchone() == (2.0,)
+        with pytest.raises(dbapi.ProgrammingError):
+            cur.fetchone()
+        assert not handler.cursors     # closed when the error was sent
+        assert [op for op, __ in recorded] == ["execute", "fetch"]
         conn.close()
 
 
